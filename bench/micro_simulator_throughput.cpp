@@ -11,6 +11,9 @@
  * `--out=FILE` the same JSON line is also written to FILE; the
  * committed BENCH_throughput.json baseline at the repo root is
  * regenerated that way and diffed by bench/check_throughput.py.
+ * The pair cross product starts from an empty run cache, and the
+ * bench exits 2 when JSMT_RUN_CACHE is set, so its Mcycles/s always
+ * measure simulation rather than cache replay.
  *
  * `--micro` instead runs the google-benchmark microbenchmarks of
  * the simulator substrates (cache probes, synthetic streams,
@@ -20,6 +23,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -31,6 +35,7 @@
 #include "common/log.h"
 #include "common/rng.h"
 #include "core/simulation.h"
+#include "exec/run_cache.h"
 #include "harness/multiprogram.h"
 #include "jvm/benchmarks.h"
 #include "jvm/code_walker.h"
@@ -279,6 +284,9 @@ runPairMatrixThroughput(int argc, char** argv,
     MultiprogramRunner runner(config.system, config.lengthScale,
                               config.pairMinRuns, config.jobs);
 
+    // Pair co-runs and solo baselines are memoized; start cold so
+    // the timed cross product simulates every cell.
+    exec::RunCache::global().clear();
     const auto start = std::chrono::steady_clock::now();
     const std::vector<PairResult> cells =
         runner.runCrossProduct(names);
@@ -368,6 +376,15 @@ main(int argc, char** argv)
             benchmark::RunSpecifiedBenchmarks();
             return 0;
         }
+    }
+    // A warm spill would turn the timed pair cross product into a
+    // replay and the reported Mcycles/s into a cache-read rate.
+    if (std::getenv("JSMT_RUN_CACHE") != nullptr) {
+        std::fprintf(stderr,
+                     "micro_simulator_throughput: unset "
+                     "JSMT_RUN_CACHE; this bench times simulation, "
+                     "not cache replay\n");
+        return 2;
     }
     // `--out=FILE` (consumed here; benchConfig rejects unknown
     // flags) mirrors the JSON summary line into FILE.

@@ -44,17 +44,12 @@ main(int argc, char** argv)
     }
 
     // Step 2: measure pairs; train on i <= j, hold out i > j.
-    MultiprogramRunner runner(config.system, config.lengthScale,
-                              config.pairMinRuns);
+    const PairMatrix matrix = runPairMatrix(config);
     std::vector<PairResult> train;
     std::vector<PairResult> holdout;
     for (std::size_t i = 0; i < names.size(); ++i) {
-        for (std::size_t j = 0; j < names.size(); ++j) {
-            if (verbose())
-                inform("pair " + names[i] + "+" + names[j]);
-            PairResult pair = runner.runPair(names[i], names[j]);
-            (i <= j ? train : holdout).push_back(std::move(pair));
-        }
+        for (std::size_t j = 0; j < names.size(); ++j)
+            (i <= j ? train : holdout).push_back(matrix.at(i, j));
     }
     predictor.train(train);
 

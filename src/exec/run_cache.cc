@@ -4,23 +4,19 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <utility>
-#include <vector>
 
 #include "common/env.h"
 #include "common/fileio.h"
 #include "common/json.h"
 #include "common/log.h"
+#include "exec/result_codec.h"
 
 namespace jsmt::exec {
 
 namespace {
-
-using json::appendEscaped;
-using json::asBool;
-using json::asNumber;
-using json::asString;
 
 /** Process-wide spill health (metrics export). */
 std::atomic<std::uint64_t> g_spillSaves{0};
@@ -28,93 +24,6 @@ std::atomic<std::uint64_t> g_spillSaveFailures{0};
 std::atomic<std::uint64_t> g_spillLoadRejects{0};
 
 } // namespace
-
-void
-writeRunResultJson(std::string& out, const RunResult& result)
-{
-    out += "{\"cycles\":" + std::to_string(result.cycles);
-    out += ",\"allComplete\":";
-    out += result.allComplete ? "true" : "false";
-    out += ",\"events\":[";
-    for (ContextId ctx = 0; ctx < kNumContexts; ++ctx) {
-        if (ctx > 0)
-            out += ',';
-        out += '[';
-        for (std::size_t e = 0; e < kNumEventIds; ++e) {
-            if (e > 0)
-                out += ',';
-            out += std::to_string(result.events[ctx][e]);
-        }
-        out += ']';
-    }
-    out += "],\"processes\":[";
-    for (std::size_t i = 0; i < result.processes.size(); ++i) {
-        const ProcessResult& pr = result.processes[i];
-        if (i > 0)
-            out += ',';
-        out += "{\"pid\":" + std::to_string(pr.pid);
-        out += ",\"benchmark\":";
-        appendEscaped(out, pr.benchmark);
-        out += ",\"complete\":";
-        out += pr.complete ? "true" : "false";
-        out += ",\"launchCycle\":" + std::to_string(pr.launchCycle);
-        out += ",\"completionCycle\":" +
-               std::to_string(pr.completionCycle);
-        out += ",\"durationCycles\":" +
-               std::to_string(pr.durationCycles);
-        out += ",\"gcRuns\":" + std::to_string(pr.gcRuns);
-        out += ",\"allocatedBytes\":" +
-               std::to_string(pr.allocatedBytes);
-        out += '}';
-    }
-    out += "]}";
-}
-
-bool
-readRunResultJson(const json::Value& value, RunResult* out)
-{
-    if (!value.isObject())
-        return false;
-    out->cycles = asNumber(value.field("cycles"));
-    out->allComplete = asBool(value.field("allComplete"));
-    const json::Value* events = value.field("events");
-    if (!events || !events->isArray() ||
-        events->items.size() != kNumContexts) {
-        return false;
-    }
-    for (ContextId ctx = 0; ctx < kNumContexts; ++ctx) {
-        const json::Value& row = events->items[ctx];
-        if (!row.isArray() || row.items.size() != kNumEventIds)
-            return false;
-        for (std::size_t e = 0; e < kNumEventIds; ++e)
-            out->events[ctx][e] = asNumber(&row.items[e]);
-    }
-    out->processes.clear();
-    const json::Value* processes = value.field("processes");
-    if (!processes || !processes->isArray())
-        return false;
-    {
-        for (const json::Value& entry : processes->items) {
-            if (!entry.isObject())
-                return false;
-            ProcessResult pr;
-            pr.pid = static_cast<ProcessId>(
-                asNumber(entry.field("pid")));
-            pr.benchmark = asString(entry.field("benchmark"));
-            pr.complete = asBool(entry.field("complete"));
-            pr.launchCycle = asNumber(entry.field("launchCycle"));
-            pr.completionCycle =
-                asNumber(entry.field("completionCycle"));
-            pr.durationCycles =
-                asNumber(entry.field("durationCycles"));
-            pr.gcRuns = asNumber(entry.field("gcRuns"));
-            pr.allocatedBytes =
-                asNumber(entry.field("allocatedBytes"));
-            out->processes.push_back(std::move(pr));
-        }
-    }
-    return true;
-}
 
 RunCache::RunCache(const std::string& spill_path)
 {
@@ -184,45 +93,47 @@ RunCache::load(const std::string& path)
 
     // All-or-nothing: decode the whole document before touching the
     // cache, and reject the file outright when any entry is
-    // malformed. A spill truncated mid-write (crash, full disk) must
-    // never half-load — a cache silently missing entries would be
-    // indistinguishable from one holding stale ones.
+    // malformed or its hash disagrees with its key. A spill
+    // truncated mid-write (crash, full disk) must never half-load —
+    // a cache silently missing entries would be indistinguishable
+    // from one holding stale ones.
     const auto reject = [&] {
         warn("run-cache: ignoring malformed spill file " + path);
         g_spillLoadRejects.fetch_add(1, std::memory_order_relaxed);
         return false;
     };
-    json::Value root;
-    if (!json::parse(text, &root) || !root.isObject())
+    std::map<std::string, RunResult> decoded;
+    RecordReader in(text);
+    const bool ok =
+        in.accept(kVersionHeader) && in.accept("\"entries\":") &&
+        in.list([&] {
+            std::string key;
+            std::uint64_t hash = 0;
+            RunResult value;
+            if (!in.accept("{\"key\":") || !in.string(&key) ||
+                key.empty() || !in.accept(",\"hash\":") ||
+                !in.number(&hash) || hash != hashKey(key) ||
+                !in.accept(",\"result\":") || !in.runResult(&value) ||
+                !in.accept("}")) {
+                return false;
+            }
+            decoded.emplace(std::move(key), std::move(value));
+            return true;
+        }) &&
+        in.accept("}") && in.atEnd();
+    if (!ok)
         return reject();
-    const json::Value* entries = root.field("entries");
-    if (!entries || !entries->isArray())
-        return reject();
-    std::vector<std::pair<std::string, RunResult>> decoded;
-    decoded.reserve(entries->items.size());
-    for (const json::Value& entry : entries->items) {
-        if (!entry.isObject())
-            return reject();
-        const std::string key = asString(entry.field("key"));
-        const json::Value* result = entry.field("result");
-        RunResult value;
-        if (key.empty() || !result ||
-            !readRunResultJson(*result, &value)) {
-            return reject();
-        }
-        decoded.emplace_back(key, std::move(value));
-    }
 
     std::lock_guard<std::mutex> lock(_mutex);
-    for (auto& [key, value] : decoded)
-        _entries.emplace(std::move(key), std::move(value));
+    _entries.merge(decoded);
     return true;
 }
 
 bool
 RunCache::save(const std::string& path) const
 {
-    std::string out = "{\"version\":1,\"entries\":[\n";
+    std::string out(kVersionHeader);
+    out += "\"entries\":[\n";
     {
         bool first = true;
         for (const auto& [key, result] : _entries) {
@@ -230,7 +141,7 @@ RunCache::save(const std::string& path) const
                 out += ",\n";
             first = false;
             out += "{\"key\":";
-            appendEscaped(out, key);
+            json::appendEscaped(out, key);
             out += ",\"hash\":" + std::to_string(hashKey(key));
             out += ",\"result\":";
             writeRunResultJson(out, result);

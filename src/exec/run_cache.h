@@ -12,7 +12,11 @@
  *
  * An optional on-disk JSON spill lets consecutive bench invocations
  * warm-start: point JSMT_RUN_CACHE at a file and every figure binary
- * sharing that file computes each configuration once.
+ * sharing that file computes each configuration once. The spill is
+ * version 2: each entry is {"key":K,"hash":hashKey(K),"result":R}
+ * with R in the record layout of exec/result_codec.h. A file in any
+ * other layout, or with any entry whose hash disagrees with its
+ * key, is rejected whole and the cache starts cold.
  */
 
 #ifndef JSMT_EXEC_RUN_CACHE_H
@@ -27,10 +31,6 @@
 #include "core/run_result.h"
 #include "core/system_config.h"
 #include "resilience/fault_plan.h"
-
-namespace jsmt::json {
-struct Value;
-}
 
 namespace jsmt::exec {
 
@@ -123,18 +123,6 @@ class RunCache
     mutable std::uint64_t _misses = 0;
     const resilience::FaultPlan* _faultPlan = nullptr;
 };
-
-/**
- * Append @p result to @p out as the canonical RunResult JSON object
- * (the spill/checkpoint wire format).
- */
-void writeRunResultJson(std::string& out, const RunResult& result);
-
-/**
- * Decode a RunResult from its canonical JSON object.
- * @return false when any field is missing or malformed.
- */
-bool readRunResultJson(const json::Value& value, RunResult* out);
 
 /**
  * Canonical one-line description of every field of a SystemConfig —

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdio>
 #include <map>
 #include <utility>
 
 #include "common/log.h"
 #include "common/stats.h"
 #include "core/simulation.h"
+#include "exec/run_cache.h"
 #include "harness/solo.h"
 
 namespace jsmt {
@@ -52,52 +54,58 @@ MultiprogramRunner::MultiprogramRunner(
               "first+last");
 }
 
+std::string
+pairRunKey(const SystemConfig& ht_config, const std::string& a,
+           const std::string& b, double length_scale,
+           std::size_t min_runs)
+{
+    char scale[64];
+    std::snprintf(scale, sizeof(scale), "%.17g", length_scale);
+    std::string key = "pair|";
+    key += exec::describeSystemConfig(ht_config);
+    key += '|';
+    key += a;
+    key += '|';
+    key += b;
+    key += "|scale=";
+    key += scale;
+    key += "|runs=" + std::to_string(min_runs);
+    return key;
+}
+
 double
 MultiprogramRunner::soloDuration(
     const std::string& benchmark,
     const resilience::CancellationToken* cancel)
 {
-    {
-        std::lock_guard<std::mutex> lock(_soloMutex);
-        const auto it = _soloCache.find(benchmark);
-        if (it != _soloCache.end())
-            return it->second;
-    }
     SoloOptions options;
     options.threads = 1;
     options.lengthScale = _lengthScale;
     options.cancel = cancel;
-    const double duration =
-        soloDurationCyclesCached(_config, benchmark,
-                                 /*hyper_threading=*/false, options);
-    std::lock_guard<std::mutex> lock(_soloMutex);
-    _soloCache.emplace(benchmark, duration);
-    return duration;
+    return soloDurationCyclesCached(_config, benchmark,
+                                    /*hyper_threading=*/false,
+                                    options);
 }
 
 void
 MultiprogramRunner::prefetchSolos(
-    const std::vector<std::string>& names)
+    const std::vector<std::string>& all_names)
 {
-    std::vector<std::string> missing;
-    {
-        std::lock_guard<std::mutex> lock(_soloMutex);
-        for (const std::string& name : names) {
-            if (_soloCache.count(name) == 0 &&
-                std::find(missing.begin(), missing.end(), name) ==
-                    missing.end()) {
-                missing.push_back(name);
-            }
+    std::vector<std::string> names;
+    for (const std::string& name : all_names) {
+        if (std::find(names.begin(), names.end(), name) ==
+            names.end()) {
+            names.push_back(name);
         }
     }
     // Supervised so one flaky baseline retries instead of failing
     // the whole prefetch; a baseline that still fails is re-tried
     // inline by the pair that needs it (and reported there).
     _supervisor.run(
-        missing.size(),
-        [&](std::size_t i) { return "solo/" + missing[i]; },
+        names.size(),
+        [&](std::size_t i) { return "solo/" + names[i]; },
         [&](resilience::TaskContext& ctx) {
-            soloDuration(missing[ctx.index], ctx.token);
+            soloDuration(names[ctx.index], ctx.token);
         });
 }
 
@@ -106,15 +114,24 @@ MultiprogramRunner::runPair(
     const std::string& a, const std::string& b,
     const resilience::CancellationToken* cancel)
 {
-    PairResult result;
-    result.a = a;
-    result.b = b;
-    result.soloA = soloDuration(a, cancel);
-    result.soloB = soloDuration(b, cancel);
-
+    const double solo_a = soloDuration(a, cancel);
+    const double solo_b = soloDuration(b, cancel);
     SystemConfig cfg = _config;
     cfg.hyperThreading = true;
-    Machine machine(cfg);
+    const RunResult record = exec::RunCache::global().getOrCompute(
+        pairRunKey(cfg, a, b, _lengthScale, _minRuns), [&] {
+            return coRun(cfg, a, b, solo_a + solo_b, cancel);
+        });
+    return pairFromRecord(a, b, solo_a, solo_b, record);
+}
+
+RunResult
+MultiprogramRunner::coRun(
+    const SystemConfig& ht_config, const std::string& a,
+    const std::string& b, double solo_cycles,
+    const resilience::CancellationToken* cancel) const
+{
+    Machine machine(ht_config);
     Simulation sim(machine);
 
     std::array<WorkloadSpec, 2> specs;
@@ -126,7 +143,7 @@ MultiprogramRunner::runPair(
     specs[1].lengthScale = _lengthScale;
 
     std::map<ProcessId, int> slot_of;
-    std::array<std::vector<double>, 2> durations;
+    std::array<std::vector<Cycle>, 2> durations;
     for (int slot = 0; slot < 2; ++slot) {
         JavaProcess& process = sim.addProcess(specs[slot]);
         slot_of[process.pid()] = slot;
@@ -134,13 +151,11 @@ MultiprogramRunner::runPair(
 
     Simulation::RunOptions options;
     options.maxCycles = static_cast<Cycle>(
-        (result.soloA + result.soloB) *
-            static_cast<double>(_minRuns) * 6.0 +
+        solo_cycles * static_cast<double>(_minRuns) * 6.0 +
         20'000'000.0);
     options.onProcessExit = [&](Simulation& s, JavaProcess& p) {
         const int slot = slot_of.at(p.pid());
-        durations[slot].push_back(
-            static_cast<double>(p.durationCycles()));
+        durations[slot].push_back(p.durationCycles());
         if (durations[0].size() >= _minRuns &&
             durations[1].size() >= _minRuns) {
             return false; // Both measured: stop the experiment.
@@ -157,21 +172,66 @@ MultiprogramRunner::runPair(
             "co-run of '" + a + "'+'" + b +
             "' cancelled (deadline or external cancel)");
     }
-    result.coRunCycles = static_cast<double>(run.cycles);
 
-    if (durations[0].size() < _minRuns ||
-        durations[1].size() < _minRuns) {
+    RunResult record;
+    record.cycles = run.cycles;
+    record.allComplete = true;
+    for (int slot = 0; slot < 2; ++slot) {
+        const std::vector<Cycle>& done = durations[slot];
+        // droppedMean keeps the middle completions, or all of them
+        // when there are too few to drop any.
+        const std::size_t drop = done.size() > 2 ? 1 : 0;
+        Cycle kept_sum = 0;
+        for (std::size_t i = drop; i + drop < done.size(); ++i)
+            kept_sum += done[i];
+        ProcessResult slot_record;
+        slot_record.pid = static_cast<ProcessId>(slot);
+        slot_record.benchmark = specs[slot].benchmark;
+        slot_record.complete = done.size() >= _minRuns;
+        slot_record.completionCycle = done.size();
+        slot_record.durationCycles = kept_sum;
+        record.allComplete = record.allComplete && slot_record.complete;
+        record.processes.push_back(std::move(slot_record));
+    }
+    return record;
+}
+
+PairResult
+MultiprogramRunner::pairFromRecord(const std::string& a,
+                                   const std::string& b,
+                                   double solo_a, double solo_b,
+                                   const RunResult& record) const
+{
+    if (record.processes.size() != 2)
+        fatal("multiprogram: malformed co-run record for " + a +
+              "+" + b);
+    if (!record.allComplete) {
         warn("multiprogram: pair " + a + "+" + b +
              " hit the cycle budget before " +
              std::to_string(_minRuns) + " completions");
     }
 
-    result.runsA = durations[0].size() > 2 ? durations[0].size() - 2
-                                           : durations[0].size();
-    result.runsB = durations[1].size() > 2 ? durations[1].size() - 2
-                                           : durations[1].size();
-    result.meanDurationA = droppedMean(durations[0]);
-    result.meanDurationB = droppedMean(durations[1]);
+    PairResult result;
+    result.a = a;
+    result.b = b;
+    result.soloA = solo_a;
+    result.soloB = solo_b;
+    result.coRunCycles = static_cast<double>(record.cycles);
+    std::array<double, 2> means{};
+    std::array<std::size_t, 2> runs{};
+    for (int slot = 0; slot < 2; ++slot) {
+        const ProcessResult& pr = record.processes[slot];
+        const std::size_t completions = pr.completionCycle;
+        runs[slot] = completions > 2 ? completions - 2 : completions;
+        if (runs[slot] > 0) {
+            means[slot] = static_cast<double>(pr.durationCycles) /
+                          static_cast<double>(runs[slot]);
+        }
+    }
+    result.runsA = runs[0];
+    result.runsB = runs[1];
+    result.meanDurationA = means[0];
+    result.meanDurationB = means[1];
     if (result.meanDurationA > 0.0)
         result.speedupA = result.soloA / result.meanDurationA;
     if (result.meanDurationB > 0.0)

@@ -10,17 +10,39 @@
  *   C_AB = A_S/A_H + B_S/B_H
  * with A_S, B_S the HT-disabled solo times; 1 is a perfect
  * time-sharing machine, 2 a perfect 2-way SMP.
+ *
+ * Co-runs are memoized in exec::RunCache::global() under pairRunKey,
+ * so the drivers that share co-runs (Figures 8, 9 and 11 and
+ * pairing_prediction) simulate each pair once per process, or once
+ * per JSMT_RUN_CACHE spill across processes. The cached record is a
+ * RunResult whose size does not grow with the completion count:
+ *
+ *   cycles                      co-run cycles (coRunCycles)
+ *   allComplete                 both slots reached min_runs
+ *   processes[s], s = 0 (a), 1 (b):
+ *     pid                       s
+ *     benchmark                 the slot's program
+ *     complete                  the slot reached min_runs
+ *     completionCycle           completions, first and last included
+ *     durationCycles            exact integer sum of the completions
+ *                               droppedMean keeps
+ *   events, other fields        zero
+ *
+ * A slot's completions never overlap, so their sum is at most the
+ * co-run's cycles, far below 2^53; summing those integers in doubles
+ * is exact, so durationCycles / kept count equals droppedMean of the
+ * durations bit for bit. Solo baselines are not in the record: they
+ * come from their own soloDurationCyclesCached entries.
  */
 
 #ifndef JSMT_HARNESS_MULTIPROGRAM_H
 #define JSMT_HARNESS_MULTIPROGRAM_H
 
-#include <map>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/run_result.h"
 #include "core/system_config.h"
 #include "resilience/supervisor.h"
 
@@ -50,7 +72,8 @@ struct PairResult
 };
 
 /**
- * Runs benchmark pairs and caches solo baselines.
+ * Runs benchmark pairs; co-runs and solo baselines are memoized in
+ * exec::RunCache::global().
  */
 class MultiprogramRunner
 {
@@ -72,13 +95,14 @@ class MultiprogramRunner
     /**
      * Co-run @p a and @p b on an HT machine; compute C_AB. A
      * non-null @p cancel token aborts the co-run at the simulator's
-     * cancellation lattice (throws TaskCancelledError).
+     * cancellation lattice (throws TaskCancelledError); a cancelled
+     * co-run is never cached.
      */
     PairResult
     runPair(const std::string& a, const std::string& b,
             const resilience::CancellationToken* cancel = nullptr);
 
-    /** HT-disabled solo duration (cached across pairs). */
+    /** HT-disabled solo duration (soloDurationCyclesCached). */
     double soloDuration(
         const std::string& benchmark,
         const resilience::CancellationToken* cancel = nullptr);
@@ -108,17 +132,35 @@ class MultiprogramRunner
     std::size_t jobs() const { return _supervisor.jobs(); }
 
   private:
-    /** Warm _soloCache for every name (parallel, deduplicated). */
+    /** Warm the solo baselines of @p names (parallel, deduplicated). */
     void
     prefetchSolos(const std::vector<std::string>& names);
+
+    /** Simulate one co-run; @return its cacheable record. */
+    RunResult
+    coRun(const SystemConfig& ht_config, const std::string& a,
+          const std::string& b, double solo_cycles,
+          const resilience::CancellationToken* cancel) const;
+
+    /** Turn a co-run record into a PairResult (miss and hit path). */
+    PairResult
+    pairFromRecord(const std::string& a, const std::string& b,
+                   double solo_a, double solo_b,
+                   const RunResult& record) const;
 
     SystemConfig _config;
     double _lengthScale;
     std::size_t _minRuns;
     resilience::Supervisor _supervisor;
-    std::mutex _soloMutex;
-    std::map<std::string, double> _soloCache;
 };
+
+/**
+ * Canonical run-cache key of a co-run: the HT-on @p ht_config, both
+ * programs in slot order, the length scale and the completion count.
+ */
+std::string pairRunKey(const SystemConfig& ht_config,
+                       const std::string& a, const std::string& b,
+                       double length_scale, std::size_t min_runs);
 
 /**
  * Mean of @p durations after dropping the first and last completion

@@ -2,12 +2,13 @@
 
 #include <atomic>
 #include <fstream>
+#include <map>
 #include <utility>
-#include <vector>
 
 #include "common/fileio.h"
 #include "common/json.h"
 #include "common/log.h"
+#include "exec/result_codec.h"
 #include "exec/run_cache.h"
 
 namespace jsmt::resilience {
@@ -107,19 +108,31 @@ SweepCheckpoint::loadExisting()
         g_loadRejects.fetch_add(1, std::memory_order_relaxed);
         return false;
     };
-    json::Value root;
-    if (!json::parse(text, &root) || !root.isObject())
+    std::string manifest_topology;
+    std::map<std::string, RunResult> decoded;
+    exec::RecordReader in(text);
+    const bool ok =
+        in.accept(exec::kVersionHeader) &&
+        in.accept("\"topology\":") &&
+        in.string(&manifest_topology) &&
+        in.accept(",\"entries\":") && in.list([&] {
+            std::string key;
+            std::string digest;
+            RunResult value;
+            if (!in.accept("{\"key\":") || !in.string(&key) ||
+                key.empty() || !in.accept(",\"digest\":") ||
+                !in.string(&digest) || !in.accept(",\"result\":") ||
+                !in.runResult(&value) || !in.accept("}") ||
+                resultDigest(value) != digest) {
+                return false;
+            }
+            decoded.emplace(std::move(key), std::move(value));
+            return true;
+        }) &&
+        in.accept("}") && in.atEnd();
+    if (!ok)
         return reject();
 
-    // Manifests written before the allocation layer carry no
-    // topology field; they are single-core static-pin by
-    // construction.
-    const json::Value* topology_field = root.field("topology");
-    std::string manifest_topology =
-        topology_field ? json::asString(topology_field)
-                       : std::string();
-    if (manifest_topology.empty())
-        manifest_topology = kDefaultTopology;
     if (!_topology.empty() &&
         normalizeTopology(_topology) !=
             normalizeTopology(manifest_topology)) {
@@ -133,33 +146,9 @@ SweepCheckpoint::loadExisting()
         return false;
     }
 
-    const json::Value* entries = root.field("entries");
-    if (!entries || !entries->isArray())
-        return reject();
-    std::vector<std::pair<std::string, RunResult>> decoded;
-    decoded.reserve(entries->items.size());
-    for (const json::Value& entry : entries->items) {
-        if (!entry.isObject())
-            return reject();
-        const std::string key =
-            json::asString(entry.field("key"));
-        const std::string digest =
-            json::asString(entry.field("digest"));
-        const json::Value* result = entry.field("result");
-        RunResult value;
-        if (key.empty() || digest.empty() || !result ||
-            !exec::readRunResultJson(*result, &value)) {
-            return reject();
-        }
-        if (resultDigest(value) != digest)
-            return reject();
-        decoded.emplace_back(key, std::move(value));
-    }
-
     std::lock_guard<std::mutex> lock(_mutex);
     _manifestTopology = manifest_topology;
-    for (auto& [key, value] : decoded)
-        _entries.emplace(std::move(key), std::move(value));
+    _entries.merge(decoded);
     _resumed = _entries.size();
     g_entriesResumed.fetch_add(_resumed,
                                std::memory_order_relaxed);
@@ -204,11 +193,10 @@ SweepCheckpoint::flushLocked()
         effective_topology = _manifestTopology.empty()
                                  ? kDefaultTopology
                                  : _manifestTopology;
-    // Version 2 marks topologies carrying the step-threads field;
-    // the loader never reads the version (the topology + per-entry
-    // digests are the real schema), so v1 and v2 manifests parse
-    // interchangeably in both directions.
-    std::string out = "{\"version\":2,\"topology\":";
+    // Version 2 is the record layout of exec/result_codec.h; the
+    // loader rejects any other version.
+    std::string out(exec::kVersionHeader);
+    out += "\"topology\":";
     json::appendEscaped(out, effective_topology);
     out += ",\"entries\":[\n";
     {

@@ -10,12 +10,14 @@
  * simulator is deterministic, a resumed sweep is bit-identical to an
  * uninterrupted one.
  *
- * The manifest is all-or-nothing on load: every entry carries an
- * FNV digest of its serialized result, and any parse failure or
- * digest mismatch rejects the whole file (warn, start cold). Writes
- * go through atomicWriteFile, so a crash mid-flush leaves the
- * previous manifest intact; FaultPlan spill faults apply, which is
- * how the resilience suite proves both properties.
+ * The manifest is version 2 and shares the spill's record codec
+ * (exec/result_codec.h). It is all-or-nothing on load: every entry
+ * carries an FNV digest of its serialized result, and any parse
+ * failure, digest mismatch or other version rejects the whole file
+ * (warn, start cold). Writes go through atomicWriteFile, so a crash
+ * mid-flush leaves the previous manifest intact; FaultPlan spill
+ * faults apply, which is how the resilience suite proves both
+ * properties.
  */
 
 #ifndef JSMT_RESILIENCE_CHECKPOINT_H
@@ -40,10 +42,8 @@ class SweepCheckpoint
 {
   public:
     /**
-     * Topology a manifest is assumed to record when it carries no
-     * topology field: every checkpoint written before the
-     * multi-core allocation layer came from a single-core
-     * static-pin sweep.
+     * Topology stamped into a manifest by a checkpoint opened
+     * without one and with no manifest to inherit it from.
      */
     static constexpr const char* kDefaultTopology =
         "cores=1;alloc=static-pin";

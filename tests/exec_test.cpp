@@ -17,12 +17,14 @@
 #include <vector>
 
 #include "core/simulation.h"
+#include "exec/result_codec.h"
 #include "exec/run_cache.h"
 #include "exec/task_pool.h"
 #include "exec/thread_budget.h"
 #include "harness/solo.h"
 #include "jvm/benchmarks.h"
 #include "mem/l2_gate.h"
+#include "resilience/checkpoint.h"
 #include "resilience/fault_plan.h"
 
 namespace jsmt {
@@ -378,6 +380,237 @@ TEST(RunCache, SpillPathOnCorruptFileStartsCold)
     result.cycles = 3;
     cache.insert("k", result);
     EXPECT_EQ(cache.size(), 1u);
+    std::remove(path.c_str());
+}
+
+std::string
+readText(const std::string& path)
+{
+    std::ifstream in(path);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    return buffer.str();
+}
+
+/** Every field of two results, process identity included. */
+void
+expectSameRecords(const RunResult& a, const RunResult& b)
+{
+    expectIdenticalResults(a, b);
+    ASSERT_EQ(a.processes.size(), b.processes.size());
+    for (std::size_t i = 0; i < a.processes.size(); ++i) {
+        EXPECT_EQ(a.processes[i].pid, b.processes[i].pid);
+        EXPECT_EQ(a.processes[i].complete, b.processes[i].complete);
+        EXPECT_EQ(a.processes[i].launchCycle,
+                  b.processes[i].launchCycle);
+        EXPECT_EQ(a.processes[i].completionCycle,
+                  b.processes[i].completionCycle);
+    }
+}
+
+/** A record with every field set, and an awkward benchmark name. */
+RunResult
+busyRecord()
+{
+    RunResult result;
+    result.cycles = 18446744073709551615ULL; // UINT64_MAX survives.
+    result.allComplete = true;
+    for (ContextId ctx = 0; ctx < kNumContexts; ++ctx) {
+        for (std::size_t e = 0; e < kNumEventIds; ++e)
+            result.events[ctx][e] = 31 * e + ctx;
+    }
+    ProcessResult pr;
+    pr.pid = 4294967295u;
+    pr.benchmark = "we\"ird\\name";
+    pr.complete = true;
+    pr.launchCycle = 1;
+    pr.completionCycle = 2;
+    pr.durationCycles = 3;
+    pr.gcRuns = 4;
+    pr.allocatedBytes = 5;
+    result.processes.push_back(pr);
+    return result;
+}
+
+/** A pair co-run record: zero events, two positional slots. */
+RunResult
+pairRecord()
+{
+    RunResult result;
+    result.cycles = 9000;
+    for (std::uint32_t slot = 0; slot < 2; ++slot) {
+        ProcessResult pr;
+        pr.pid = slot;
+        pr.benchmark = slot == 0 ? "compress" : "jess";
+        pr.complete = slot == 0;
+        pr.completionCycle = 12 - slot;
+        pr.durationCycles = 4242 + slot;
+        result.processes.push_back(pr);
+    }
+    return result;
+}
+
+TEST(RunCache, V2SpillWritesCompactRecordsAndRoundTrips)
+{
+    const std::string path =
+        testing::TempDir() + "jsmt_exec_test_v2_spill.json";
+    resilience::FaultPlan empty;
+    {
+        RunCache cache;
+        cache.setFaultPlan(&empty);
+        cache.insert("busy", busyRecord());
+        cache.insert("pair", pairRecord());
+        cache.insert("empty", RunResult{});
+        ASSERT_TRUE(cache.save(path));
+    }
+    const std::string text = readText(path);
+    EXPECT_EQ(text.rfind(exec::kVersionHeader, 0), 0u) << text;
+    EXPECT_NE(text.find("\"events\":[],\"processes\":[[0,\"compress\","
+                        "true,0,12,4242,0,0],[1,\"jess\",false,0,11,"
+                        "4243,0,0]]"),
+              std::string::npos)
+        << text;
+
+    RunCache reloaded;
+    ASSERT_TRUE(reloaded.load(path));
+    EXPECT_EQ(reloaded.size(), 3u);
+    RunResult back;
+    ASSERT_TRUE(reloaded.lookup("busy", &back));
+    expectSameRecords(busyRecord(), back);
+    ASSERT_TRUE(reloaded.lookup("pair", &back));
+    expectSameRecords(pairRecord(), back);
+    ASSERT_TRUE(reloaded.lookup("empty", &back));
+    expectSameRecords(RunResult{}, back);
+    std::remove(path.c_str());
+}
+
+// save() writes hashKey(key) next to every key; load() must check
+// it, so one flipped key byte rejects the whole file.
+TEST(RunCache, FlippedKeyByteRejectsTheWholeSpill)
+{
+    const std::string path =
+        testing::TempDir() + "jsmt_exec_test_flipped_key.json";
+    resilience::FaultPlan empty;
+    {
+        RunCache cache;
+        cache.setFaultPlan(&empty);
+        cache.insert("alpha", pairRecord());
+        cache.insert("beta", pairRecord());
+        ASSERT_TRUE(cache.save(path));
+    }
+    std::string text = readText(path);
+    const std::size_t at = text.find("\"key\":\"beta\"");
+    ASSERT_NE(at, std::string::npos);
+    text[at + 7] = 'B';
+    std::ofstream(path, std::ios::trunc) << text;
+
+    const std::uint64_t rejects = RunCache::totalSpillLoadRejects();
+    RunCache cache;
+    EXPECT_FALSE(cache.load(path));
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_FALSE(cache.lookup("alpha", nullptr));
+    EXPECT_EQ(RunCache::totalSpillLoadRejects(), rejects + 1);
+    std::remove(path.c_str());
+}
+
+// A result with events and no processes serializes the same way in
+// the version-1 and version-2 layouts, so in the fixtures below the
+// version number is the only thing wrong with the document.
+TEST(RunCache, VersionOneSpillIsRejectedWhole)
+{
+    const std::string path =
+        testing::TempDir() + "jsmt_exec_test_v1_spill.json";
+    RunResult result;
+    result.cycles = 5;
+    result.events[0][0] = 7;
+    std::string record;
+    exec::writeRunResultJson(record, result);
+    std::ofstream(path, std::ios::trunc)
+        << "{\"version\":1,\"entries\":[\n{\"key\":\"k\",\"hash\":"
+        << exec::hashKey("k") << ",\"result\":" << record
+        << "}\n]}\n";
+    {
+        // The same entry under the current header loads.
+        std::string current = readText(path);
+        current.replace(0, std::string_view("{\"version\":1,").size(),
+                        exec::kVersionHeader);
+        const std::string v2_path = path + ".v2";
+        std::ofstream(v2_path, std::ios::trunc) << current;
+        RunCache control;
+        EXPECT_TRUE(control.load(v2_path));
+        EXPECT_EQ(control.size(), 1u);
+        std::remove(v2_path.c_str());
+    }
+
+    const std::uint64_t rejects = RunCache::totalSpillLoadRejects();
+    RunCache cache;
+    EXPECT_FALSE(cache.load(path));
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_EQ(RunCache::totalSpillLoadRejects(), rejects + 1);
+    std::remove(path.c_str());
+}
+
+TEST(SweepCheckpointCodec, V2ManifestRoundTripsThroughTheSharedCodec)
+{
+    const std::string path =
+        testing::TempDir() + "jsmt_exec_test_v2_manifest.json";
+    std::remove(path.c_str());
+    const std::string topology =
+        resilience::SweepCheckpoint::describeTopology(1, "static-pin");
+    resilience::FaultPlan empty;
+    {
+        resilience::SweepCheckpoint checkpoint(path, 1000, topology);
+        checkpoint.setFaultPlan(&empty);
+        checkpoint.record("busy", busyRecord());
+        checkpoint.record("pair", pairRecord());
+        ASSERT_TRUE(checkpoint.flush());
+    }
+    const std::string text = readText(path);
+    EXPECT_EQ(text.rfind(exec::kVersionHeader, 0), 0u) << text;
+    EXPECT_NE(text.find("\"events\":[]"), std::string::npos) << text;
+
+    resilience::SweepCheckpoint resumed(path, 1, topology);
+    EXPECT_FALSE(resumed.topologyMismatch());
+    EXPECT_EQ(resumed.resumed(), 2u);
+    RunResult back;
+    ASSERT_TRUE(resumed.lookup("busy", &back));
+    expectSameRecords(busyRecord(), back);
+    ASSERT_TRUE(resumed.lookup("pair", &back));
+    expectSameRecords(pairRecord(), back);
+    std::remove(path.c_str());
+}
+
+TEST(SweepCheckpointCodec, VersionOneManifestIsRejectedWhole)
+{
+    const std::string path =
+        testing::TempDir() + "jsmt_exec_test_v1_manifest.json";
+    RunResult result;
+    result.cycles = 5;
+    result.events[0][0] = 7;
+    std::string record;
+    exec::writeRunResultJson(record, result);
+    const std::string digest = std::to_string(exec::hashKey(record));
+    const std::string entries =
+        "\"topology\":\"cores=1;alloc=static-pin\",\"entries\":[\n"
+        "{\"key\":\"k\",\"digest\":\"" + digest + "\",\"result\":" +
+        record + "}\n]}\n";
+    {
+        // The same entry under the current header resumes.
+        std::ofstream(path, std::ios::trunc)
+            << exec::kVersionHeader << entries;
+        resilience::SweepCheckpoint control(path);
+        EXPECT_EQ(control.resumed(), 1u);
+    }
+    std::ofstream(path, std::ios::trunc)
+        << "{\"version\":1," << entries;
+
+    const std::uint64_t rejects =
+        resilience::SweepCheckpoint::totalLoadRejects();
+    resilience::SweepCheckpoint checkpoint(path);
+    EXPECT_EQ(checkpoint.resumed(), 0u);
+    EXPECT_EQ(checkpoint.size(), 0u);
+    EXPECT_EQ(resilience::SweepCheckpoint::totalLoadRejects(),
+              rejects + 1);
     std::remove(path.c_str());
 }
 

@@ -6,16 +6,69 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
+#include <string>
 
+#include "exec/run_cache.h"
 #include "harness/multiprogram.h"
 #include "harness/solo.h"
+#include "resilience/cancellation.h"
 #include "harness/table.h"
 
 namespace jsmt {
 namespace {
 
 constexpr double kSmallScale = 0.05;
+
+/** Every field of two pair results, compared exactly. */
+void
+expectSamePair(const PairResult& x, const PairResult& y)
+{
+    EXPECT_EQ(x.a, y.a);
+    EXPECT_EQ(x.b, y.b);
+    EXPECT_EQ(x.meanDurationA, y.meanDurationA);
+    EXPECT_EQ(x.meanDurationB, y.meanDurationB);
+    EXPECT_EQ(x.soloA, y.soloA);
+    EXPECT_EQ(x.soloB, y.soloB);
+    EXPECT_EQ(x.speedupA, y.speedupA);
+    EXPECT_EQ(x.speedupB, y.speedupB);
+    EXPECT_EQ(x.combinedSpeedup, y.combinedSpeedup);
+    EXPECT_EQ(x.runsA, y.runsA);
+    EXPECT_EQ(x.runsB, y.runsB);
+    EXPECT_EQ(x.coRunCycles, y.coRunCycles);
+}
+
+/** A pair co-run twice from a cold cache, with each call's stderr. */
+struct MissThenHit
+{
+    PairResult miss;
+    PairResult hit;
+    std::string missLog;
+    std::string hitLog;
+};
+
+MissThenHit
+runMissThenHit(const SystemConfig& config, double scale,
+               std::size_t min_runs, const std::string& a,
+               const std::string& b)
+{
+    exec::RunCache& cache = exec::RunCache::global();
+    cache.clear();
+    MultiprogramRunner runner(config, scale, min_runs);
+    MissThenHit out;
+    testing::internal::CaptureStderr();
+    out.miss = runner.runPair(a, b);
+    out.missLog = testing::internal::GetCapturedStderr();
+    // Two solo baselines and one co-run, all simulated.
+    EXPECT_EQ(cache.size(), a == b ? 2u : 3u);
+    const std::uint64_t misses = cache.misses();
+    testing::internal::CaptureStderr();
+    out.hit = runner.runPair(a, b);
+    out.hitLog = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(cache.misses(), misses) << "the second call simulated";
+    return out;
+}
 
 TEST(Harness, DroppedMeanDropsFirstAndLast)
 {
@@ -97,6 +150,101 @@ TEST(Harness, IdenticalPairSlotsAreTrackedSeparately)
     // Symmetric programs: per-slot speedups should be similar.
     EXPECT_NEAR(pair.speedupA, pair.speedupB,
                 0.5 * pair.speedupA);
+}
+
+TEST(HarnessMemo, MixedPairHitEqualsMiss)
+{
+    const MissThenHit run =
+        runMissThenHit(SystemConfig{}, kSmallScale, 4, "compress",
+                       "jess");
+    expectSamePair(run.miss, run.hit);
+    EXPECT_EQ(run.missLog.find("cycle budget"), std::string::npos);
+
+    // The record survives a spill round trip bit for bit.
+    exec::RunCache& cache = exec::RunCache::global();
+    const std::string path =
+        testing::TempDir() + "jsmt_harness_pair_spill.json";
+    ASSERT_TRUE(cache.save(path));
+    cache.clear();
+    ASSERT_TRUE(cache.load(path));
+    MultiprogramRunner runner(SystemConfig{}, kSmallScale, 4);
+    const std::uint64_t misses = cache.misses();
+    expectSamePair(run.miss, runner.runPair("compress", "jess"));
+    EXPECT_EQ(cache.misses(), misses);
+    std::remove(path.c_str());
+}
+
+TEST(HarnessMemo, IdenticalPairHitEqualsMiss)
+{
+    const MissThenHit run = runMissThenHit(SystemConfig{}, kSmallScale,
+                                           3, "jess", "jess");
+    expectSamePair(run.miss, run.hit);
+}
+
+TEST(HarnessMemo, SlotOrderAndRunCountAreInTheKey)
+{
+    SystemConfig ht;
+    ht.hyperThreading = true;
+    const std::string key =
+        pairRunKey(ht, "compress", "jess", kSmallScale, 4);
+    EXPECT_NE(key, pairRunKey(ht, "jess", "compress", kSmallScale, 4));
+    EXPECT_NE(key, pairRunKey(ht, "compress", "jess", kSmallScale, 5));
+    EXPECT_NE(key, pairRunKey(ht, "compress", "jess", 0.5, 4));
+    SystemConfig other_seed = ht;
+    other_seed.seed = 9;
+    EXPECT_NE(key, pairRunKey(other_seed, "compress", "jess",
+                              kSmallScale, 4));
+}
+
+// A machine with a tiny shared L2 behind a slow single port: a
+// co-run is over 12x slower than solo, so the pair reaches its cycle
+// budget before three completions each.
+TEST(HarnessMemo, BudgetCutPairHitEqualsMissAndWarnsOnBoth)
+{
+    SystemConfig config;
+    config.core.robEntries = 4;
+    config.core.loadBufEntries = 2;
+    config.mem.dramCycles = 5000;
+    config.mem.fsbCyclesPerLine = 2000;
+    config.mem.l2PortCycles = 3000;
+    config.mem.l2Bytes = 32 * 1024;
+    config.mem.l2Ways = 4;
+    const MissThenHit run =
+        runMissThenHit(config, 0.02, 3, "jess", "jess");
+    expectSamePair(run.miss, run.hit);
+    EXPECT_NE(run.missLog.find("hit the cycle budget"),
+              std::string::npos)
+        << run.missLog;
+    EXPECT_NE(run.hitLog.find("hit the cycle budget"),
+              std::string::npos)
+        << run.hitLog;
+    SystemConfig ht = config;
+    ht.hyperThreading = true;
+    RunResult record;
+    ASSERT_TRUE(exec::RunCache::global().lookup(
+        pairRunKey(ht, "jess", "jess", 0.02, 3), &record));
+    EXPECT_FALSE(record.allComplete);
+}
+
+TEST(HarnessMemo, CancelledCoRunIsNeverCached)
+{
+    exec::RunCache& cache = exec::RunCache::global();
+    cache.clear();
+    SystemConfig config;
+    MultiprogramRunner runner(config, kSmallScale, 3);
+    // Warm the baselines so the token stops the co-run itself.
+    runner.soloDuration("compress");
+    runner.soloDuration("jess");
+    const std::size_t entries = cache.size();
+    resilience::CancellationToken token;
+    token.cancel();
+    EXPECT_THROW(runner.runPair("compress", "jess", &token),
+                 resilience::TaskCancelledError);
+    EXPECT_EQ(cache.size(), entries);
+    config.hyperThreading = true;
+    EXPECT_FALSE(cache.lookup(
+        pairRunKey(config, "compress", "jess", kSmallScale, 3),
+        nullptr));
 }
 
 TEST(Harness, TextTableFormats)

@@ -598,6 +598,8 @@ TEST(SweepResume, InterruptedSweepResumesBitIdentically)
 
 TEST(SweepResume, SupervisedPairBatchReportsInsteadOfThrowing)
 {
+    // Co-runs are memoized; start cold so both pairs are simulated.
+    exec::RunCache::global().clear();
     FaultPlan killer;
     ASSERT_TRUE(FaultPlan::parse("task-fail=pair/jess+db@99",
                                  &killer));
