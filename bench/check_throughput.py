@@ -24,19 +24,12 @@ Three classes of check, with very different tolerances:
   same process on the same host, so they are machine-independent;
   negative values (noise) pass.
 
-* Step-thread scaling (step_scaling_4t): wall-clock speedup of the
-  4-core stepping engine at 4 workers over the serial reference,
-  enforced (default floor 1.8x) only when the *current* host reports
-  >= 4 CPUs — a 1- or 2-CPU runner cannot physically scale, and its
-  honest sub-1.0 number would only measure the runner.
-
 Multicore fields were added after the first baselines were
 committed; when the baseline lacks them, those checks are skipped so
 old baselines keep validating new builds.
 
 Usage: check_throughput.py BASELINE CURRENT [--tolerance FRAC]
                                             [--trace-budget PCT]
-                                            [--scaling-floor X]
 """
 
 import argparse
@@ -63,10 +56,6 @@ def main():
     parser.add_argument("--trace-budget", type=float, default=2.0,
                         help="max disabled-tracer overhead in "
                              "percent (default 2.0)")
-    parser.add_argument("--scaling-floor", type=float, default=1.8,
-                        help="min step_scaling_4t speedup when the "
-                             "current host has >= 4 CPUs "
-                             "(default 1.8)")
     args = parser.parse_args()
 
     base = load_summary(args.baseline)
@@ -103,26 +92,11 @@ def main():
                 f"{key}: {cur[key]:.2f} exceeds the "
                 f"{args.trace_budget:.1f}% budget")
 
-    # The scaling gate is conditioned on the *current* host: the
-    # measurement is honest everywhere, but only a host with real
-    # parallelism can be required to show a speedup.
-    if "step_scaling_4t" in cur:
-        host_cpus = int(cur.get("host_cpus", 0))
-        if host_cpus >= 4:
-            if cur["step_scaling_4t"] < args.scaling_floor:
-                failures.append(
-                    f"step_scaling_4t: {cur['step_scaling_4t']:.2f}"
-                    f" below the {args.scaling_floor:.1f}x floor "
-                    f"on a {host_cpus}-CPU host")
-        else:
-            print(f"note: host has {host_cpus} CPUs; "
-                  "step_scaling_4t floor not enforced")
-
     print(f"{'metric':<28}{'baseline':>14}{'current':>14}")
     for key in ("cycles", "serial_cycles", "mcycles_per_sec",
                 "serial_mcycles_per_sec", "trace_overhead_pct",
                 "multicore_cycles", "multicore_mcycles_per_sec",
-                "step_scaling_4t", "multicore_trace_overhead_pct",
+                "multicore_trace_overhead_pct",
                 "host_cpus"):
         print(f"{key:<28}{base.get(key, '-'):>14}"
               f"{cur.get(key, '-'):>14}")

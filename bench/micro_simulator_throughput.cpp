@@ -40,7 +40,6 @@
 #include "jvm/benchmarks.h"
 #include "jvm/code_walker.h"
 #include "jvm/data_model.h"
-#include "exec/thread_budget.h"
 #include "mem/cache.h"
 #include "os/allocation/multi_core.h"
 #include "trace/trace_sink.h"
@@ -193,15 +192,13 @@ goldenSetSerialThroughput(double scale, double* cycles_out)
 }
 
 /**
- * Wall seconds for one fixed 4-core chip run under the stepping
- * engine at @p step_threads workers, optionally with a disabled
- * TraceSink attached. The simulated chip cycles are returned via
- * @p cycles_out and are bit-identical for every thread count (that
- * is the engine's contract; check_throughput.py pins them).
+ * Wall seconds for one fixed 4-core chip run, optionally with a
+ * disabled TraceSink attached. The simulated chip cycles are
+ * returned via @p cycles_out (check_throughput.py pins them).
  */
 double
-multiChipRunSeconds(double scale, std::uint32_t step_threads,
-                    bool attach_disabled_sink, double* cycles_out)
+multiChipRunSeconds(double scale, bool attach_disabled_sink,
+                    double* cycles_out)
 {
     MultiCoreConfig config;
     config.system.seed = 42;
@@ -219,7 +216,6 @@ multiChipRunSeconds(double scale, std::uint32_t step_threads,
     }
     trace::TraceSink sink; // Constructed disabled.
     MultiCoreSimulation::RunOptions run;
-    run.stepThreads = step_threads;
     if (attach_disabled_sink)
         run.trace = &sink;
     const auto start = std::chrono::steady_clock::now();
@@ -233,40 +229,29 @@ multiChipRunSeconds(double scale, std::uint32_t step_threads,
 }
 
 /**
- * Multi-core stepping-engine measurements: serial-reference chip
- * throughput, the 4-worker wall-clock scaling factor, and the
+ * Multi-core stepping-engine measurements: chip throughput and the
  * disabled-sink overhead of the multi-core path. Best-of-N on every
- * wall measurement. The thread budget is raised for the scaling
- * run so the worker pool is never silently clamped on a small CI
- * host; host_cpus is reported alongside so the checker only
- * enforces the scaling floor where the host can physically scale.
+ * wall measurement.
  */
 void
 multiCoreSteppingThroughput(double scale, double* cycles_out,
-                            double* mcps_out, double* scaling_out,
+                            double* mcps_out,
                             double* overhead_pct_out)
 {
     constexpr int kRepeats = 3;
-    exec::ThreadBudget::instance().setCapacityForTest(16);
     double serial = 1e30;
-    double parallel = 1e30;
     double traced = 1e30;
     double cycles = 0.0;
     for (int i = 0; i < kRepeats; ++i) {
         double run_cycles = 0.0;
         serial = std::min(
-            serial, multiChipRunSeconds(scale, 1, false,
-                                        &run_cycles));
+            serial, multiChipRunSeconds(scale, false, &run_cycles));
         cycles = run_cycles;
-        parallel = std::min(
-            parallel, multiChipRunSeconds(scale, 4, false, nullptr));
         traced = std::min(
-            traced, multiChipRunSeconds(scale, 1, true, nullptr));
+            traced, multiChipRunSeconds(scale, true, nullptr));
     }
-    exec::ThreadBudget::instance().setCapacityForTest(0);
     *cycles_out = cycles;
     *mcps_out = serial > 0.0 ? cycles / 1e6 / serial : 0.0;
-    *scaling_out = parallel > 0.0 ? serial / parallel : 0.0;
     *overhead_pct_out =
         serial > 0.0 ? (traced - serial) / serial * 100.0 : 0.0;
 }
@@ -317,11 +302,9 @@ runPairMatrixThroughput(int argc, char** argv,
 
     double multicore_cycles = 0.0;
     double multicore_mcps = 0.0;
-    double step_scaling_4t = 0.0;
     double multicore_trace_pct = 0.0;
     multiCoreSteppingThroughput(config.lengthScale,
                                 &multicore_cycles, &multicore_mcps,
-                                &step_scaling_4t,
                                 &multicore_trace_pct);
     const unsigned host_cpus = std::thread::hardware_concurrency();
 
@@ -337,15 +320,13 @@ runPairMatrixThroughput(int argc, char** argv,
                   "\"trace_overhead_pct\":%.2f,"
                   "\"multicore_cycles\":%.0f,"
                   "\"multicore_mcycles_per_sec\":%.2f,"
-                  "\"step_scaling_4t\":%.2f,"
                   "\"multicore_trace_overhead_pct\":%.2f,"
                   "\"host_cpus\":%u}\n",
                   cells.size(), config.pairMinRuns,
                   config.lengthScale, runner.jobs(), cycles,
                   wall_seconds, mcycles_per_sec, serial_cycles,
                   serial_mcps, trace_overhead_pct, multicore_cycles,
-                  multicore_mcps, step_scaling_4t,
-                  multicore_trace_pct, host_cpus);
+                  multicore_mcps, multicore_trace_pct, host_cpus);
     std::fputs(line, stdout);
     if (!out_path.empty()) {
         std::FILE* out = std::fopen(out_path.c_str(), "w");

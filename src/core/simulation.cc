@@ -174,13 +174,6 @@ Simulation::Stepper::advance(Cycle bound)
 
     while (!_stopRequested && !sim.allProcessesComplete() &&
            sim._cycle < _horizon.end() && sim._cycle < bound) {
-        // Publish the clock as this core's commit horizon: every
-        // shared-L2 access it makes from here on is keyed at
-        // (_cycle, core) or later. Release-ordered, so a core the
-        // publish unblocks observes all earlier L2 mutations.
-        if (_gate != nullptr)
-            _gate->publish(_gateCore, sim._cycle);
-
         SmtCore::CycleOutcome outcome;
         if (sim._cycle < _retireOnlyUntil) {
             outcome = machine.core().retireOnlyCycle(sim._cycle);
@@ -298,12 +291,6 @@ Simulation::Stepper::advance(Cycle bound)
                          : std::min(alloc_bound, sched_bound);
         }
     }
-
-    // Everything below the clock is now committed; republish so
-    // cores waiting on this one never stall on a stale horizon
-    // between advance() calls.
-    if (_gate != nullptr)
-        _gate->publish(_gateCore, sim._cycle);
     return sim._cycle;
 }
 

@@ -22,7 +22,6 @@
 
 namespace jsmt {
 
-class L2AccessGate;
 class StageProfiler;
 
 /** Description of one workload to launch. */
@@ -194,10 +193,8 @@ class Simulation
  *
  * The multi-core stepping engine is the reason this exists: it
  * interleaves N cores' cycle loops in bounded slices between epoch
- * edges (serially or on worker threads) without paying the
- * prologue/epilogue per slice, and attachGate() lets the loop
- * publish its clock as the commit horizon conservative shared-L2
- * synchronization needs (see L2AccessGate).
+ * edges, in (cycle, coreId) order, without paying the
+ * prologue/epilogue per slice.
  *
  * advance(bound) steps the loop while the clock is below @p bound
  * and the run is not done. A fast-forward jump may legitimately
@@ -212,17 +209,6 @@ class Simulation::Stepper
 
     Stepper(const Stepper&) = delete;
     Stepper& operator=(const Stepper&) = delete;
-
-    /**
-     * Publish this core's clock to @p gate as chip core @p core
-     * while stepping. Attach before the first advance().
-     */
-    void
-    attachGate(L2AccessGate* gate, std::uint32_t core)
-    {
-        _gate = gate;
-        _gateCore = core;
-    }
 
     /**
      * Step until the clock reaches @p bound (or the run completes,
@@ -265,8 +251,6 @@ class Simulation::Stepper
     bool _stopRequested = false;
     bool _cancelled = false;
     Cycle _retireOnlyUntil = 0;
-    L2AccessGate* _gate = nullptr;
-    std::uint32_t _gateCore = 0;
     std::vector<JavaProcess*> _justCompleted;
     std::array<std::array<std::uint64_t, kNumEventIds>,
                kNumContexts>

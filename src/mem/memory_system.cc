@@ -186,11 +186,6 @@ std::uint32_t
 MemorySystem::accessL2Line(Asid asid, Addr paddr, ContextId ctx,
                            Cycle now, bool& l2_hit)
 {
-    // Shared-L2 chips serialize cross-core accesses in (cycle,
-    // coreId) order; the await is this core's turn coming up. The
-    // PMU/occupancy bookkeeping around it is all per-core state.
-    if (_l2Gate != nullptr)
-        _l2Gate->await(_l2GateCore);
     _pmu.record(EventId::kL2Access, ctx);
     const std::uint32_t port_wait = l2Occupy(now);
     l2_hit = _l2use->access(asid, paddr, ctx);

@@ -18,7 +18,6 @@
 
 #include "common/types.h"
 #include "mem/cache.h"
-#include "mem/l2_gate.h"
 #include "mem/tlb.h"
 #include "pmu/pmu.h"
 #include "trace/trace_sink.h"
@@ -184,23 +183,6 @@ class MemorySystem
         _trace = sink;
     }
 
-    /**
-     * Attach (or detach, with nullptr) the cross-core ordering gate
-     * of the shared L2, identifying this hierarchy as core
-     * @p core of the chip. While attached, every access that reaches
-     * the L2 first awaits its turn in the deterministic global
-     * access order (see L2AccessGate); the multi-core stepping
-     * engine attaches the gate for the duration of a run. Only
-     * meaningful with a shared L2 — a private L2 has no cross-core
-     * accesses to order.
-     */
-    void
-    setL2Gate(L2AccessGate* gate, std::uint32_t core = 0)
-    {
-        _l2Gate = gate;
-        _l2GateCore = core;
-    }
-
   private:
     /** Charge one line transfer on the FSB; @return queueing delay. */
     std::uint32_t fsbOccupy(Cycle now);
@@ -222,9 +204,6 @@ class MemorySystem
     MemConfig _config;
     Pmu& _pmu;
     trace::TraceSink* _trace = nullptr;
-    /** Cross-core ordering gate of the shared L2 (engine-attached). */
-    L2AccessGate* _l2Gate = nullptr;
-    std::uint32_t _l2GateCore = 0;
     bool _hyperThreading = false;
     Cache _traceCache;
     Cache _l1d;

@@ -1,13 +1,9 @@
 #include "os/allocation/multi_core.h"
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
 
 #include "common/log.h"
-#include "exec/task_pool.h"
-#include "exec/thread_budget.h"
-#include "mem/l2_gate.h"
 
 namespace jsmt {
 
@@ -22,128 +18,53 @@ struct EpochCore
 };
 
 /**
- * Unwind guard for stepGroup: if the group's thread exits by
- * exception (TaskPool catches per-task errors and waits for the
- * whole batch), the dead slices' commit horizons would stay stale
- * and every peer group — including the parallelFor caller — would
- * spin in the gate forever. Parking the remainder unblocks them,
- * and raising the cancel flag stops the surviving groups at their
- * next check instead of letting them finish a doomed epoch.
- */
-struct GroupParkGuard
-{
-    EpochCore* const* begin;
-    EpochCore* const* end;
-    L2AccessGate* gate;
-    std::atomic<bool>* cancel;
-    bool armed = true;
-
-    ~GroupParkGuard()
-    {
-        if (!armed)
-            return;
-        cancel->store(true, std::memory_order_relaxed);
-        if (gate != nullptr) {
-            for (EpochCore* const* it = begin; it != end; ++it) {
-                if (!(*it)->done)
-                    gate->park((*it)->core);
-            }
-        }
-    }
-};
-
-/**
- * Step the slices in [@p begin, @p end) to the end of the epoch.
+ * Step the @p active slices to the end of the epoch.
  *
- * The group is stepped serially in deterministic order: repeatedly
+ * The slices are interleaved in deterministic order: repeatedly
  * pick the lexicographically smallest (cycle, coreId) slice and
- * advance it until it would overtake an in-group peer — core i may
- * execute cycle c only while (c, i) precedes every other in-group
- * slice's (cycle, coreId), i.e. up to min over peers j of
- * (j < i ? cycle_j : cycle_j + 1). The pick is the global in-group
- * minimum, so that bound is always above its clock and every
- * iteration makes progress. Ordering against slices in *other*
- * groups is enforced at the actual shared-L2 access points by
- * @p gate (each advance() publishes its clock as it goes); in-group
- * peers never block on the gate because the interleave already
- * satisfies its condition. With one group covering every active
- * slice this IS the serial reference order; with several groups on
- * worker threads the L2 sees the same global access order, so
- * results are invariant to both thread count and grouping.
+ * advance it until it would overtake a peer — core i may execute
+ * cycle c only while (c, i) precedes every other slice's
+ * (cycle, coreId), i.e. up to min over peers j of
+ * (j < i ? cycle_j : cycle_j + 1). The pick is the global minimum,
+ * so that bound is always above its clock and every iteration makes
+ * progress. Every cross-core touch — a shared-L2 access, or a
+ * migrated process's in-flight µops retiring on its old core while
+ * the new host fetches from it — therefore lands in global
+ * (cycle, coreId) order, a function of the configuration alone.
  *
- * The gate only orders shared-L2 accesses, so any *other*
- * cross-core coupling must stay inside one group. The single such
- * coupling is migration residue: after a process moves, µops still
- * in flight on its old core retire there and touch the process's
- * thread state while the new host fetches from it. The caller
- * therefore never splits a process's current core and its stale
- * cores (Tracked::staleCores) across groups — which is why the
- * group is an explicit pointer set rather than a contiguous core
- * range.
- *
- * A slice that finishes the epoch early (all processes complete)
- * is parked in the gate: it will make no further L2 accesses, and
- * leaving its commit horizon at its final clock would deadlock
- * peers waiting to pass it.
+ * A cancel observed by any slice (on its deterministic check
+ * lattice) stops the whole chip; a cancelled run is
+ * wall-clock-driven and makes no bit-identity promises.
  */
 void
-stepGroup(EpochCore* const* group_begin, EpochCore* const* group_end,
-          L2AccessGate* gate, std::atomic<bool>& cancel)
+stepEpoch(std::vector<EpochCore>& active)
 {
-    GroupParkGuard guard{group_begin, group_end, gate, &cancel};
     for (;;) {
-        // A cancel observed by any slice (on its deterministic
-        // check lattice) stops the whole chip: park what is left so
-        // no other group spins on our commit horizons. A cancelled
-        // run is wall-clock-driven and makes no bit-identity
-        // promises.
-        if (cancel.load(std::memory_order_relaxed)) {
-            guard.armed = false;
-            if (gate != nullptr) {
-                for (EpochCore* const* it = group_begin;
-                     it != group_end; ++it) {
-                    if (!(*it)->done)
-                        gate->park((*it)->core);
-                }
-            }
-            return;
-        }
         EpochCore* pick = nullptr;
-        for (EpochCore* const* it = group_begin; it != group_end;
-             ++it) {
-            EpochCore* const ec = *it;
-            if (ec->done)
+        for (EpochCore& ec : active) {
+            if (ec.done)
                 continue;
             if (pick == nullptr ||
-                ec->stepper->cycle() < pick->stepper->cycle() ||
-                (ec->stepper->cycle() == pick->stepper->cycle() &&
-                 ec->core < pick->core))
-                pick = ec;
+                ec.stepper->cycle() < pick->stepper->cycle() ||
+                (ec.stepper->cycle() == pick->stepper->cycle() &&
+                 ec.core < pick->core))
+                pick = &ec;
         }
-        if (pick == nullptr) {
-            // Every slice done (and already parked at done-time):
-            // a normal exit must not raise the batch cancel flag.
-            guard.armed = false;
+        if (pick == nullptr)
             return;
-        }
         Cycle bound = kNoCycle;
-        for (EpochCore* const* it = group_begin; it != group_end;
-             ++it) {
-            EpochCore* const ec = *it;
-            if (ec->done || ec == pick)
+        for (const EpochCore& ec : active) {
+            if (ec.done || &ec == pick)
                 continue;
-            const Cycle at = ec->stepper->cycle();
+            const Cycle at = ec.stepper->cycle();
             bound = std::min(bound,
-                             ec->core < pick->core ? at : at + 1);
+                             ec.core < pick->core ? at : at + 1);
         }
         pick->stepper->advance(bound);
         if (pick->stepper->cancelled())
-            cancel.store(true, std::memory_order_relaxed);
-        if (pick->stepper->done()) {
+            return;
+        if (pick->stepper->done())
             pick->done = true;
-            if (gate != nullptr)
-                gate->park(pick->core);
-        }
     }
 }
 
@@ -338,16 +259,6 @@ MultiCoreSimulation::moveProcess(Tracked& tracked, CoreId to,
     tracked.core = to;
     ++tracked.migrations;
 
-    // The old core's pipeline may still hold this process's µops;
-    // until they retire there, the two cores share thread state and
-    // must step in one group. The new host stops being stale by
-    // definition.
-    auto& stale = tracked.staleCores;
-    stale.erase(std::remove(stale.begin(), stale.end(), to),
-                stale.end());
-    if (std::find(stale.begin(), stale.end(), from) == stale.end())
-        stale.push_back(from);
-
     MigrationRecord record;
     record.epoch = _epochs;
     record.process = tracked.index;
@@ -380,35 +291,6 @@ MultiCoreSimulation::reapCompleted()
         Simulation& sim = _system.simulation(tracked.core);
         sim.adoptProcess(sim.releaseProcess(tracked.process));
         tracked.reaped = true;
-    }
-}
-
-void
-MultiCoreSimulation::pruneStaleCores()
-{
-    // Epoch-edge poll (quiesced chip): a stale link expires once
-    // the old core's pipeline holds none of the process's µops —
-    // from then on only the current host touches its thread state.
-    // Completed processes keep their links trimmed too so the
-    // vectors do not accrete across long sweeps.
-    for (Tracked& tracked : _tracked) {
-        auto& stale = tracked.staleCores;
-        if (stale.empty())
-            continue;
-        stale.erase(
-            std::remove_if(
-                stale.begin(), stale.end(),
-                [&](CoreId core) {
-                    const SmtCore& smt =
-                        _system.machine(core).core();
-                    for (const auto& thread :
-                         tracked.process->threads()) {
-                        if (smt.holdsUopsOf(thread.get()))
-                            return false;
-                    }
-                    return true;
-                }),
-            stale.end());
     }
 }
 
@@ -518,57 +400,11 @@ MultiCoreSimulation::run(const RunOptions& options)
         }
     }
 
-    // Worker count for in-epoch stepping. 1 (the default) is the
-    // serial reference; the parallel settings only change wall-clock
-    // behaviour, never results. Extra workers are drawn from the
-    // process-wide thread budget: auto (0) takes only what --jobs
-    // has left free, an explicit N is a hard request. The auto
-    // claim must be one atomic reservation (not available() read
-    // back as a forced charge): two sweep cells deciding
-    // concurrently would both see the same free budget and
-    // oversubscribe the host the budget exists to protect.
-    std::uint32_t workers = 1;
-    exec::ThreadReservation step_claim;
-    if (cores > 1 && options.stepThreads != 1) {
-        if (options.stepThreads == 0) {
-            step_claim = exec::ThreadReservation(cores - 1,
-                                                 /*force=*/false);
-            workers = 1 + static_cast<std::uint32_t>(
-                              step_claim.granted());
-        } else {
-            workers = std::min(options.stepThreads, cores);
-        }
-    }
-    // The pool persists across epochs (TaskPool's workers sleep on
-    // a condition variable between batches), so the per-epoch cost
-    // of parallel stepping is one wake/notify round, not a thread
-    // spawn. It adopts the auto-mode reservation (charging only any
-    // shortfall, i.e. an explicit --step-threads N) for its
-    // lifetime.
-    std::unique_ptr<exec::TaskPool> pool;
-    if (workers > 1) {
-        pool = std::make_unique<exec::TaskPool>(
-            workers, std::move(step_claim));
-    }
-
-    // The gate serializes cross-core shared-L2 accesses into
-    // (cycle, coreId) order; it is only needed when groups step
-    // concurrently — a single group enforces the same order by
-    // construction, and skipping the gate keeps the serial
-    // reference free of atomics.
-    std::unique_ptr<L2AccessGate> gate;
-    if (workers > 1) {
-        gate = std::make_unique<L2AccessGate>(cores);
-        for (CoreId core = 0; core < cores; ++core)
-            _system.machine(core).mem().setL2Gate(gate.get(), core);
-    }
-
-    // With several slices capturing concurrently, each core traces
-    // into a private shard for the duration of the run; the shards
-    // are drained into the user's sink in core order at every epoch
-    // edge. The merged capture is deterministic and identical for
-    // every step-thread count (each shard holds exactly the events
-    // that core's serial-reference slice would have emitted).
+    // With several slices, each core traces into a private shard
+    // for the duration of the run; the shards are drained into the
+    // user's sink in core order at every epoch edge. The merged
+    // capture is therefore grouped by epoch, then by core, and that
+    // push order decides which events a full ring keeps.
     const bool shard_tracing =
         cores > 1 && sink != nullptr && sink->enabled();
     std::vector<std::unique_ptr<trace::TraceSink>> shards;
@@ -592,7 +428,6 @@ MultiCoreSimulation::run(const RunOptions& options)
     std::vector<EpochCore> active;
     while (!cancelled && !allComplete() && _clock < end) {
         const Cycle target = std::min(end, _clock + epoch_cycles);
-        pruneStaleCores();
 
         // Slices with live work this epoch; the rest stay idle and
         // only have their clocks advanced at the edge.
@@ -614,26 +449,6 @@ MultiCoreSimulation::run(const RunOptions& options)
             active.push_back(std::move(ec));
         }
 
-        if (gate != nullptr) {
-            // Fresh epoch: zero every cached safe floor (commit
-            // horizons may move backwards across the barrier when
-            // a parked core becomes active again), then publish the
-            // actual starting clocks and park the idle slices so
-            // nobody waits on a core that will not step.
-            gate->reset(0);
-            std::size_t next = 0;
-            for (CoreId core = 0; core < cores; ++core) {
-                if (next < active.size() &&
-                    active[next].core == core) {
-                    gate->publish(core,
-                                  _system.simulation(core).now());
-                    ++next;
-                } else {
-                    gate->park(core);
-                }
-            }
-        }
-
         for (EpochCore& ec : active) {
             Simulation& sim = _system.simulation(ec.core);
             Simulation::RunOptions slice;
@@ -646,85 +461,15 @@ MultiCoreSimulation::run(const RunOptions& options)
             // the right sink (the user's, or this core's shard).
             ec.stepper = std::make_unique<Simulation::Stepper>(
                 sim, slice);
-            if (gate != nullptr)
-                ec.stepper->attachGate(gate.get(), ec.core);
         }
 
-        if (!active.empty()) {
-            std::atomic<bool> cancel_flag{false};
-            const std::size_t n = active.size();
-            const std::size_t groups =
-                std::min<std::size_t>(workers, n);
-            // Deterministic partition of the active slices into
-            // step groups. Grouping never affects results, only
-            // which thread steps which slice — but cores coupled
-            // by migration residue (a live process's current host
-            // plus its staleCores) must share a group, where the
-            // serial interleave orders their mutual touches; the
-            // L2 gate only covers shared-L2 accesses. Union the
-            // coupled cores, sort the slices so each component is
-            // contiguous, then pack components into at most
-            // `groups` runs of `order`.
-            std::vector<EpochCore*> order;
-            order.reserve(n);
-            for (EpochCore& ec : active)
-                order.push_back(&ec);
-            std::vector<std::size_t> starts{0};
-            if (groups > 1 && pool != nullptr) {
-                std::vector<CoreId> parent(cores);
-                for (CoreId core = 0; core < cores; ++core)
-                    parent[core] = core;
-                const auto find = [&](CoreId core) {
-                    while (parent[core] != core)
-                        core = parent[core] = parent[parent[core]];
-                    return core;
-                };
-                for (const Tracked& tracked : _tracked) {
-                    if (tracked.process->complete())
-                        continue;
-                    for (CoreId stale : tracked.staleCores)
-                        parent[find(stale)] = find(tracked.core);
-                }
-                std::stable_sort(
-                    order.begin(), order.end(),
-                    [&](EpochCore* a, EpochCore* b) {
-                        const CoreId ra = find(a->core);
-                        const CoreId rb = find(b->core);
-                        return ra != rb ? ra < rb
-                                        : a->core < b->core;
-                    });
-                const std::size_t fill =
-                    (n + groups - 1) / groups;
-                std::size_t i = 0;
-                while (i < n) {
-                    std::size_t j = i + 1;
-                    while (j < n && find(order[j]->core) ==
-                                        find(order[i]->core))
-                        ++j;
-                    i = j;
-                    if (i < n && i - starts.back() >= fill)
-                        starts.push_back(i);
-                }
-            }
-            starts.push_back(n);
-            const std::size_t bins = starts.size() - 1;
-            if (bins <= 1) {
-                stepGroup(order.data(), order.data() + n,
-                          gate.get(), cancel_flag);
-            } else {
-                pool->parallelFor(bins, [&](std::size_t g) {
-                    stepGroup(order.data() + starts[g],
-                              order.data() + starts[g + 1],
-                              gate.get(), cancel_flag);
-                });
-            }
-            // Epilogues in core order: each finish() lands the
-            // slice's batched accounting deterministically.
-            for (EpochCore& ec : active) {
-                const RunResult slice_result = ec.stepper->finish();
-                cancelled = cancelled || slice_result.cancelled;
-                ec.stepper.reset();
-            }
+        stepEpoch(active);
+        // Epilogues in core order: each finish() lands the slice's
+        // batched accounting deterministically.
+        for (EpochCore& ec : active) {
+            const RunResult slice_result = ec.stepper->finish();
+            cancelled = cancelled || slice_result.cancelled;
+            ec.stepper.reset();
         }
 
         if (shard_tracing) {
@@ -746,10 +491,6 @@ MultiCoreSimulation::run(const RunOptions& options)
             rebalance(window, sink);
     }
 
-    if (gate != nullptr) {
-        for (CoreId core = 0; core < cores; ++core)
-            _system.machine(core).mem().setL2Gate(nullptr, 0);
-    }
     if (shard_tracing)
         _system.setTraceSink(sink);
 

@@ -16,17 +16,13 @@
  * The driver advances every core to the same epoch edge, measures
  * per-process progress over the epoch, asks the policy for next
  * placements, and performs the migrations (thread rebinding plus
- * process-ownership transfer) at the edge. Inside an epoch the
- * slices are stepped so that cross-core accesses to the shared L2
- * land in global (cycle, coreId) order — serially by interleaving
- * the slices in that order, or on worker threads where each core
- * runs ahead until its next potential L2 access would overtake a
- * peer's published commit horizon (RunOptions::stepThreads, see
- * L2AccessGate and DESIGN.md §11). Everything is a function of the
- * configuration — never of the thread count — so runs are
- * bit-reproducible; with one core and the static-pin policy the
- * driver degenerates to the plain single-machine Simulation and is
- * bit-identical to it.
+ * process-ownership transfer) at the edge. Inside an epoch one
+ * thread interleaves the slices in global (cycle, coreId) order, so
+ * every cross-core access to the shared L2 lands in that order (see
+ * DESIGN.md §11). Everything is a function of the configuration, so
+ * runs are bit-reproducible; with one core and the static-pin policy
+ * the driver degenerates to the plain single-machine Simulation and
+ * is bit-identical to it.
  */
 
 #ifndef JSMT_OS_ALLOCATION_MULTI_CORE_H
@@ -183,21 +179,6 @@ class MultiCoreSimulation
         const resilience::CancellationToken* cancellation = nullptr;
         /** Simulated-cycle spacing of cancellation checks. */
         Cycle cancelCheckIntervalCycles = 65536;
-        /**
-         * Worker threads stepping core slices inside each epoch.
-         * 1 (the default) is the serial reference: one thread
-         * interleaves the slices in deterministic (cycle, coreId)
-         * order. 0 asks for as many workers as the process thread
-         * budget has free (polite: never oversubscribes a host
-         * already saturated by `--jobs`). N > 1 requests exactly N
-         * workers, clamped to the core count. Every setting
-         * produces bit-identical results — parallel stepping
-         * serializes shared-L2 accesses into the same
-         * (cycle, coreId) order the serial reference uses (see
-         * L2AccessGate) — so the choice is purely a wall-clock
-         * knob.
-         */
-        std::uint32_t stepThreads = 1;
     };
 
     explicit MultiCoreSimulation(MultiCoreSystem& system);
@@ -246,22 +227,11 @@ class MultiCoreSimulation
         std::uint64_t lastRetired = 0;
         /** Whether completion has been reaped from its slice. */
         bool reaped = false;
-        /**
-         * Cores this process migrated away from whose pipelines may
-         * still hold its in-flight µops. Those residues retire on
-         * the old core and touch the process's thread state, so the
-         * parallel stepper must keep each stale core in the same
-         * group as the current host until the residue drains (see
-         * pruneStaleCores); migration bookkeeping in moveProcess.
-         */
-        std::vector<CoreId> staleCores;
     };
 
     std::vector<std::uint32_t> liveLoad() const;
     bool allComplete() const;
     std::uint64_t retiredUops(const Tracked& tracked) const;
-    /** Drop stale-core links whose residue has fully retired. */
-    void pruneStaleCores();
     void moveProcess(Tracked& tracked, CoreId to, bool steal,
                      trace::TraceSink* sink);
     void reapCompleted();

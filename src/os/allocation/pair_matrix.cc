@@ -1,5 +1,6 @@
 #include "os/allocation/pair_matrix.h"
 
+#include "common/log.h"
 #include "exec/task_pool.h"
 #include "jvm/benchmarks.h"
 
@@ -26,6 +27,8 @@ std::vector<PairMatrixCell>
 runPairMatrix(const SystemConfig& config,
               const PairMatrixOptions& options)
 {
+    if (options.stepThreads != 1)
+        fatal("pair matrix: stepThreads must be 1");
     const std::vector<std::pair<std::string, std::string>>
         pairings = pairMatrixPairings(options.identicalOnly);
 
@@ -54,10 +57,6 @@ runPairMatrix(const SystemConfig& config,
             }
             MultiCoreSimulation::RunOptions run;
             run.maxCycles = options.maxCyclesPerCell;
-            // Any parallel step-thread request degrades to the
-            // budget-polite auto mode: explicit counts would
-            // multiply with the cell fan-out and oversubscribe.
-            run.stepThreads = options.stepThreads == 1 ? 1 : 0;
             PairMatrixCell cell;
             cell.a = a;
             cell.b = b;

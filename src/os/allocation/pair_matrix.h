@@ -43,14 +43,9 @@ struct PairMatrixOptions
     /** Worker threads; 0 resolves via JSMT_JOBS. */
     std::size_t jobs = 0;
     /**
-     * Worker threads stepping the core slices inside each cell (see
-     * MultiCoreSimulation::RunOptions::stepThreads). Because cells
-     * already fan out over `--jobs` threads, any parallel request
-     * (0 or N > 1) is applied budget-politely: each cell takes only
-     * what the process thread budget has free after the cell pool's
-     * charge, so jobs x step-threads never oversubscribes the host.
-     * 1 (the default) steps every cell's slices serially. Results
-     * are bit-identical for every setting.
+     * Must be 1: every cell steps its core slices serially, and any
+     * other value is fatal. Kept only so existing callers that set
+     * it to 1 still build; slated for removal.
      */
     std::uint32_t stepThreads = 1;
     /** Sweep only the ten identical pairs (the canonical list). */
@@ -80,7 +75,8 @@ pairMatrixPairings(bool identical_only);
 /**
  * Run the pair matrix. Cells are independent simulations fanned out
  * over a TaskPool and collected by index, so the result vector is
- * bit-identical for any job count.
+ * bit-identical for any job count. The job count is the only
+ * parallelism: inside a cell the slices step on one thread.
  */
 std::vector<PairMatrixCell>
 runPairMatrix(const SystemConfig& config,

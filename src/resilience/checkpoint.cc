@@ -39,22 +39,15 @@ std::string
 SweepCheckpoint::describeTopology(std::uint32_t cores,
                                   const std::string& alloc)
 {
-    // The step-threads field is schema documentation, not identity:
-    // the stepping engine is bit-identical for every worker count,
-    // so entries measured at any --step-threads are valid for any
-    // other. "any" records that invariance explicitly in the
-    // manifest (a hypothetical thread-count-dependent engine would
-    // have to stamp a real value here and break resume).
-    return "cores=" + std::to_string(cores) + ";alloc=" + alloc +
-           ";step-threads=any";
+    return "cores=" + std::to_string(cores) + ";alloc=" + alloc;
 }
 
 std::string
 SweepCheckpoint::normalizeTopology(const std::string& topology)
 {
-    // Identity comparison ignores the step-threads field (see
-    // describeTopology): manifests written before the field existed
-    // must keep resuming against runs that now stamp it.
+    // Identity comparison ignores the legacy step-threads field:
+    // manifests that stamped ";step-threads=any" must keep resuming
+    // against runs that no longer write it.
     const std::size_t at = topology.find(";step-threads=");
     return at == std::string::npos ? topology
                                    : topology.substr(0, at);

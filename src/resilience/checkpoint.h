@@ -50,17 +50,17 @@ class SweepCheckpoint
 
     /**
      * @return the canonical topology string for a chip shape:
-     * "cores=N;alloc=P;step-threads=any". The trailing field
-     * records that sweep entries are invariant to the stepping
-     * engine's worker count (resuming a `--step-threads 4` sweep
-     * with `--step-threads 1` is legal and bit-identical); it is
-     * ignored by the identity comparison, so manifests written
-     * before the field existed keep resuming.
+     * "cores=N;alloc=P".
      */
     static std::string describeTopology(std::uint32_t cores,
                                         const std::string& alloc);
 
-    /** @return @p topology with the step-threads field stripped. */
+    /**
+     * @return @p topology with any legacy ";step-threads=" field
+     * stripped. Older manifests stamped that field to record that
+     * their entries did not depend on a stepping worker count; it
+     * never was identity, so they keep resuming.
+     */
     static std::string
     normalizeTopology(const std::string& topology);
 

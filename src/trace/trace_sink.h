@@ -211,10 +211,10 @@ class TraceSink
      * clear this sink; drop counts transfer too. The multi-core
      * stepping engine gives each core slice a private shard sink
      * and drains the shards into the user's sink in core order at
-     * every epoch edge, so the merged capture is deterministic and
-     * identical for every step-thread count. No-op when @p dest is
-     * this sink or when dest is disabled (events are still cleared,
-     * mirroring what pushing into a disabled sink would capture).
+     * every epoch edge, so the merged capture is grouped by epoch,
+     * then by core. No-op when @p dest is this sink or when dest is
+     * disabled (events are still cleared, mirroring what pushing
+     * into a disabled sink would capture).
      */
     void drainInto(TraceSink& dest);
 

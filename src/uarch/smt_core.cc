@@ -143,18 +143,6 @@ SmtCore::drained() const
     return true;
 }
 
-bool
-SmtCore::holdsUopsOf(const SoftwareThread* thread) const
-{
-    for (const ContextState& cs : _ctx) {
-        for (std::uint32_t i = 0; i < cs.rob.size(); ++i) {
-            if (cs.rob.entry(i).thread == thread)
-                return true;
-        }
-    }
-    return false;
-}
-
 void
 SmtCore::reset()
 {

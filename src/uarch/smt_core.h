@@ -195,14 +195,6 @@ class SmtCore
     /** @return true when no µops are in flight. */
     bool drained() const;
 
-    /**
-     * @return whether any in-flight µop (any context) belongs to
-     * @p thread. The multi-core driver polls this at epoch edges to
-     * decide when a migrated process's residue has fully retired
-     * out of its old core's pipeline.
-     */
-    bool holdsUopsOf(const SoftwareThread* thread) const;
-
     /** Clear all pipeline state (between harness runs). */
     void reset();
 
@@ -306,13 +298,6 @@ class SmtCore
 
         RobEntry& front() { return _slots[_head]; }
         const RobEntry& front() const { return _slots[_head]; }
-
-        /** @return the @p i-th oldest entry (i < size()). */
-        const RobEntry&
-        entry(std::uint32_t i) const
-        {
-            return _slots[(_head + i) & _mask];
-        }
 
         void
         pop_front()

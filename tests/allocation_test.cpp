@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests for the core-allocation layer: policy determinism, the
- * static-pin single-core bit-identity contract, fast-forward and
- * step-thread bit-identity across random chip topologies, allocation
- * counters, and the pair-matrix acceptance comparison against
- * round-robin.
+ * static-pin single-core bit-identity contract, fast-forward
+ * bit-identity across random chip topologies, tracing
+ * transparency, allocation counters, and the pair-matrix acceptance
+ * comparison against round-robin.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "core/simulation.h"
-#include "exec/thread_budget.h"
 #include "jvm/benchmarks.h"
 #include "os/allocation/allocation.h"
 #include "os/allocation/multi_core.h"
@@ -45,8 +44,7 @@ chipConfig(std::uint32_t cores, AllocPolicyKind policy,
 MultiRunResult
 runChip(const MultiCoreConfig& config,
         const std::vector<std::string>& benchmarks,
-        bool fast_forward = true, std::uint32_t step_threads = 1,
-        trace::TraceSink* sink = nullptr)
+        bool fast_forward = true, trace::TraceSink* sink = nullptr)
 {
     MultiCoreSystem system(config);
     MultiCoreSimulation sim(system);
@@ -58,27 +56,9 @@ runChip(const MultiCoreConfig& config,
     }
     MultiCoreSimulation::RunOptions options;
     options.fastForward = fast_forward;
-    options.stepThreads = step_threads;
     options.trace = sink;
     return sim.run(options);
 }
-
-/**
- * Raise the process thread budget so parallel-stepping paths spawn
- * real worker threads even on a single-CPU CI host; the destructor
- * restores the hardware default whether the test passes or throws.
- */
-struct BudgetGuard
-{
-    explicit BudgetGuard(std::size_t capacity)
-    {
-        exec::ThreadBudget::instance().setCapacityForTest(capacity);
-    }
-    ~BudgetGuard()
-    {
-        exec::ThreadBudget::instance().setCapacityForTest(0);
-    }
-};
 
 void
 expectIdentical(const MultiRunResult& a, const MultiRunResult& b)
@@ -235,57 +215,18 @@ TEST(AllocationPolicy, FuzzFastForwardBitIdenticalAcrossTopologies)
 }
 
 // ---------------------------------------------------------------
-// Randomized topology fuzz: the parallel stepping engine is bit
-// identical to the serial reference for every worker count.
+// Tracing never perturbs the chip: a degraded sink records nothing,
+// and an enabled one captures the same merged shard sequence on
+// every run.
 // ---------------------------------------------------------------
-
-TEST(AllocationPolicy, FuzzStepThreadsBitIdenticalAcrossTopologies)
-{
-    // Without the raised budget a 1-CPU host would degrade every
-    // parallel request to one worker and the test would silently
-    // stop exercising the L2AccessGate.
-    BudgetGuard budget(16);
-    const std::vector<std::string>& names = benchmarkNames();
-    std::mt19937_64 rng(0x20260809);
-    for (int trial = 0; trial < 8; ++trial) {
-        const std::array<std::uint32_t, 4> core_choices = {1, 2, 4,
-                                                           8};
-        const std::uint32_t cores = core_choices[rng() % 4];
-        // Cycle the policy deterministically so all four are hit.
-        const auto kind = static_cast<AllocPolicyKind>(trial % 4);
-        std::vector<std::string> mix;
-        const std::size_t procs = 2 + rng() % (2 * cores);
-        for (std::size_t p = 0; p < procs; ++p)
-            mix.push_back(names[rng() % names.size()]);
-
-        MultiCoreConfig config = chipConfig(cores, kind);
-        config.system.seed = rng();
-        const MultiRunResult reference =
-            runChip(config, mix, true, 1);
-        ASSERT_TRUE(reference.allComplete)
-            << "trial " << trial << " cores " << cores << " policy "
-            << allocPolicyName(kind);
-        for (const std::uint32_t threads : {2u, 4u, 0u}) {
-            SCOPED_TRACE("trial " + std::to_string(trial) +
-                         " cores " + std::to_string(cores) +
-                         " policy " + allocPolicyName(kind) +
-                         " step-threads " +
-                         std::to_string(threads));
-            const MultiRunResult parallel =
-                runChip(config, mix, true, threads);
-            expectIdentical(reference, parallel);
-        }
-    }
-}
 
 TEST(AllocationPolicy, StepThreadsIdenticalUnderHostileFaultPlan)
 {
-    // A hostile fault plan that kills the trace-sink ring must not
-    // perturb parallel stepping: the degraded sink suppresses the
-    // per-core shard machinery (shards only exist for an enabled
-    // sink), and results stay bit-identical to the serial
-    // reference with the same degraded sink attached.
-    BudgetGuard budget(16);
+    // (The name predates serial-only stepping.) A hostile fault
+    // plan that kills the trace-sink ring must not perturb the
+    // chip: the degraded sink suppresses the per-core shard
+    // machinery (shards only exist for an enabled sink), records
+    // nothing, and results stay bit-identical to an untraced run.
     resilience::FaultPlan plan;
     ASSERT_TRUE(resilience::FaultPlan::parse("sink-alloc", &plan));
     const std::vector<std::string> mix = {"PseudoJBB", "jess",
@@ -293,53 +234,51 @@ TEST(AllocationPolicy, StepThreadsIdenticalUnderHostileFaultPlan)
     const MultiCoreConfig config =
         chipConfig(2, AllocPolicyKind::kIpcSymbiosis);
 
-    trace::TraceSink serial_sink(1u << 12, &plan);
-    ASSERT_TRUE(serial_sink.degraded());
-    serial_sink.setEnabled(true); // Ignored: stays degraded.
-    const MultiRunResult reference =
-        runChip(config, mix, true, 1, &serial_sink);
+    const MultiRunResult reference = runChip(config, mix);
     ASSERT_TRUE(reference.allComplete);
 
-    trace::TraceSink parallel_sink(1u << 12, &plan);
-    parallel_sink.setEnabled(true);
-    const MultiRunResult parallel =
-        runChip(config, mix, true, 4, &parallel_sink);
-    expectIdentical(reference, parallel);
-    EXPECT_EQ(serial_sink.size(), 0u);
-    EXPECT_EQ(parallel_sink.size(), 0u);
+    trace::TraceSink degraded(1u << 12, &plan);
+    ASSERT_TRUE(degraded.degraded());
+    degraded.setEnabled(true); // Ignored: stays degraded.
+    const MultiRunResult traced =
+        runChip(config, mix, true, &degraded);
+    expectIdentical(reference, traced);
+    EXPECT_EQ(degraded.size(), 0u);
 }
 
 TEST(AllocationPolicy, StepThreadTraceShardsMergeDeterministically)
 {
-    // An enabled sink sees the same event sequence for every worker
-    // count: per-core shards are drained into the user's sink in
-    // core order at each epoch edge, which reproduces exactly what
-    // the serial reference captures.
-    BudgetGuard budget(16);
+    // (The name predates serial-only stepping.) Per-core shards
+    // are drained into the user's sink in core order at each epoch
+    // edge: two traced runs capture the same event sequence, and
+    // tracing leaves the results equal to an untraced run's.
     const std::vector<std::string> mix = {"PseudoJBB", "jack",
                                           "compress"};
     const MultiCoreConfig config =
         chipConfig(2, AllocPolicyKind::kRoundRobin);
 
-    trace::TraceSink serial_sink(1u << 15);
-    serial_sink.setEnabled(true);
-    const MultiRunResult reference =
-        runChip(config, mix, true, 1, &serial_sink);
+    const MultiRunResult reference = runChip(config, mix);
     ASSERT_TRUE(reference.allComplete);
 
-    trace::TraceSink parallel_sink(1u << 15);
-    parallel_sink.setEnabled(true);
-    const MultiRunResult parallel =
-        runChip(config, mix, true, 4, &parallel_sink);
-    expectIdentical(reference, parallel);
+    trace::TraceSink first_sink(1u << 15);
+    first_sink.setEnabled(true);
+    const MultiRunResult first =
+        runChip(config, mix, true, &first_sink);
+    expectIdentical(reference, first);
+
+    trace::TraceSink second_sink(1u << 15);
+    second_sink.setEnabled(true);
+    const MultiRunResult second =
+        runChip(config, mix, true, &second_sink);
+    expectIdentical(reference, second);
 
     const std::vector<trace::TraceEvent> expected =
-        serial_sink.events();
+        first_sink.events();
     const std::vector<trace::TraceEvent> actual =
-        parallel_sink.events();
+        second_sink.events();
     ASSERT_GT(expected.size(), 0u);
     ASSERT_EQ(expected.size(), actual.size());
-    EXPECT_EQ(serial_sink.dropped(), parallel_sink.dropped());
+    EXPECT_EQ(first_sink.dropped(), second_sink.dropped());
     for (std::size_t i = 0; i < expected.size(); ++i) {
         SCOPED_TRACE("event " + std::to_string(i));
         ASSERT_EQ(expected[i].ts, actual[i].ts);
@@ -442,6 +381,21 @@ TEST(PairMatrix, SymbiosisBeatsRoundRobinOnMostPairings)
     // canonical pairings.
     EXPECT_GE(wins, 6) << "symbiosis won only " << wins
                        << " of 10 pairings";
+}
+
+TEST(PairMatrixDeath, RejectsAnyStepThreadsButOne)
+{
+    // Cells step their slices serially; the member survives only
+    // for callers that still set it to 1.
+    SystemConfig config;
+    PairMatrixOptions options;
+    options.identicalOnly = true;
+    for (const std::uint32_t threads : {0u, 2u, 4u}) {
+        options.stepThreads = threads;
+        EXPECT_EXIT(runPairMatrix(config, options),
+                    testing::ExitedWithCode(1),
+                    "stepThreads must be 1");
+    }
 }
 
 } // namespace

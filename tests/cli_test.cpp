@@ -57,16 +57,34 @@ contains(const std::string& haystack, const std::string& needle)
     return haystack.find(needle) != std::string::npos;
 }
 
+/** @return the contents of @p path ("" when unreadable). */
+std::string
+readFile(const std::string& path)
+{
+    std::ifstream in(path);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+}
+
 TEST(CliUsage, UnknownFlagExitsTwoAndListsFlags)
 {
-    const CommandResult r =
-        runCommand(binary() + " --no-such-flag 2>&1");
-    EXPECT_EQ(r.status, kUsageError);
-    EXPECT_TRUE(contains(r.output, "unknown option")) << r.output;
-    // The valid flag set is printed so the user can self-correct.
-    EXPECT_TRUE(contains(r.output, "--benchmark")) << r.output;
-    EXPECT_TRUE(contains(r.output, "--task-timeout")) << r.output;
-    EXPECT_TRUE(contains(r.output, "--resume")) << r.output;
+    // --step-threads is a removed flag: it is unknown like any
+    // other.
+    for (const char* flag : {"--no-such-flag", "--step-threads"}) {
+        SCOPED_TRACE(flag);
+        const CommandResult r = runCommand(
+            binary() + " --cores 2 " + flag + " 4 2>&1");
+        EXPECT_EQ(r.status, kUsageError);
+        EXPECT_TRUE(contains(r.output, "unknown option")) << r.output;
+        // The valid flag set is printed so the user can
+        // self-correct.
+        EXPECT_TRUE(contains(r.output, "--benchmark")) << r.output;
+        EXPECT_TRUE(contains(r.output, "--task-timeout"))
+            << r.output;
+        EXPECT_TRUE(contains(r.output, "--resume")) << r.output;
+        EXPECT_FALSE(contains(r.output, "[--step-threads"))
+            << r.output;
+    }
 }
 
 TEST(CliUsage, UnknownBenchmarkExitsTwoAndListsBenchmarks)
@@ -219,93 +237,41 @@ TEST(CliUsage, AllocationFlagsAreValidated)
               kUsageError);
 }
 
-TEST(CliUsage, StepThreadsFlagIsValidated)
-{
-    // Out of range: the flag caps at 64 workers (0 = auto).
-    const CommandResult range = runCommand(
-        binary() + " --cores 2 --step-threads 65 2>&1");
-    EXPECT_EQ(range.status, kUsageError);
-    EXPECT_TRUE(contains(range.output, "--step-threads"))
-        << range.output;
-    EXPECT_TRUE(contains(range.output, "[0, 64]")) << range.output;
-    // Malformed and missing values follow the numeric-flag
-    // contract.
-    EXPECT_EQ(runCommand(binary() +
-                         " --cores 2 --step-threads many 2>&1")
-                  .status,
-              kUsageError);
-    EXPECT_EQ(
-        runCommand(binary() + " --step-threads 2>&1").status,
-        kUsageError);
-}
-
-TEST(CliEnv, MalformedStepThreadsWarnsAndStillRuns)
-{
-    // A malformed JSMT_STEP_THREADS warns and falls back to the
-    // serial default rather than aborting the run.
-    const CommandResult malformed = runCommand(
-        "JSMT_STEP_THREADS=abc " + binary() +
-        " --benchmark compress --scale 0.02 2>&1");
-    EXPECT_EQ(malformed.status, 0) << malformed.output;
-    EXPECT_TRUE(contains(malformed.output, "JSMT_STEP_THREADS"))
-        << malformed.output;
-
-    // Above the flag's cap: warn and default, mirroring the
-    // warn-and-continue contract of every other JSMT_* variable.
-    const CommandResult excessive = runCommand(
-        "JSMT_STEP_THREADS=400 " + binary() +
-        " --benchmark compress --scale 0.02 2>&1");
-    EXPECT_EQ(excessive.status, 0) << excessive.output;
-    EXPECT_TRUE(contains(excessive.output, "JSMT_STEP_THREADS"))
-        << excessive.output;
-
-    // An explicit flag beats the env var (no warning fires).
-    const CommandResult flag_wins = runCommand(
-        "JSMT_STEP_THREADS=400 " + binary() +
-        " --benchmark compress --scale 0.02 --step-threads 1 2>&1");
-    EXPECT_EQ(flag_wins.status, 0) << flag_wins.output;
-    EXPECT_FALSE(contains(flag_wins.output, "JSMT_STEP_THREADS"))
-        << flag_wins.output;
-}
-
 TEST(CliSweep, ResumeAcrossStepThreadCountsIsBitIdentical)
 {
-    // Sweep entries are invariant to the stepping engine's worker
-    // count, so a manifest recorded under --step-threads 4 must
-    // resume a --step-threads 1 sweep bit-identically (and the
-    // topology check must not see the two as different chips).
+    // (The name predates serial-only stepping.) Manifests whose
+    // topology carries the legacy ";step-threads=any" field must
+    // still resume: stamp the field into a fresh manifest and the
+    // resumed sweep prints the cold run's stdout byte for byte.
     const std::string manifest =
-        testing::TempDir() + "jsmt_cli_stepthreads_manifest.json";
+        testing::TempDir() + "jsmt_cli_legacy_topology_manifest.json";
+    const std::string errors =
+        testing::TempDir() + "jsmt_cli_legacy_topology_stderr.txt";
     std::remove(manifest.c_str());
     const std::string sweep_args =
         " --sweep jess --scale 0.02 --cores 2 --alloc round-robin"
         " --resume \"" + manifest + "\"";
 
-    const CommandResult cold = runCommand(
-        binary() + sweep_args + " --step-threads 4 2>/dev/null");
+    const CommandResult cold =
+        runCommand(binary() + sweep_args + " 2>/dev/null");
     ASSERT_EQ(cold.status, 0) << cold.output;
 
-    const CommandResult resumed = runCommand(
-        binary() + sweep_args + " --step-threads 1 2>&1");
-    ASSERT_EQ(resumed.status, 0) << resumed.output;
-    EXPECT_TRUE(contains(resumed.output, "resumed"))
-        << resumed.output;
+    runCommand("sed -i 's/;alloc=round-robin\"/"
+               ";alloc=round-robin;step-threads=any\"/' \"" +
+               manifest + "\"");
+    const std::string stamped = readFile(manifest);
+    ASSERT_TRUE(contains(
+        stamped, "\"cores=2;alloc=round-robin;step-threads=any\""))
+        << stamped;
 
-    const CommandResult replay = runCommand(
-        binary() + sweep_args + " --step-threads 1 2>/dev/null");
-    ASSERT_EQ(replay.status, 0) << replay.output;
-    EXPECT_EQ(cold.output, replay.output);
-
-    // Legacy manifests predate the step-threads topology field:
-    // strip it from the recorded topology and the manifest must
-    // still resume (the identity comparison ignores the field).
-    runCommand("sed -i 's/;step-threads=any//' \"" + manifest +
-               "\"");
     const CommandResult legacy = runCommand(
-        binary() + sweep_args + " 2>/dev/null");
+        binary() + sweep_args + " 2>\"" + errors + "\"");
     ASSERT_EQ(legacy.status, 0) << legacy.output;
+    EXPECT_TRUE(contains(readFile(errors), "resumed"))
+        << readFile(errors);
     EXPECT_EQ(cold.output, legacy.output);
     std::remove(manifest.c_str());
+    std::remove(errors.c_str());
 }
 
 TEST(CliSweep, ResumeRefusesMismatchedTopology)

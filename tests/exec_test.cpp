@@ -20,10 +20,8 @@
 #include "exec/result_codec.h"
 #include "exec/run_cache.h"
 #include "exec/task_pool.h"
-#include "exec/thread_budget.h"
 #include "harness/solo.h"
 #include "jvm/benchmarks.h"
-#include "mem/l2_gate.h"
 #include "resilience/checkpoint.h"
 #include "resilience/fault_plan.h"
 
@@ -122,76 +120,6 @@ TEST(TaskPool, JobResolutionHonorsEnvironment)
     EXPECT_EQ(TaskPool::resolveJobs(0), 3u);
     unsetenv("JSMT_JOBS");
     EXPECT_GE(TaskPool::resolveJobs(0), 1u);
-}
-
-TEST(TaskPool, AdoptedReservationIsNotDoubleCharged)
-{
-    auto& budget = exec::ThreadBudget::instance();
-    budget.setCapacityForTest(8);
-
-    // Fully covered: the pool's 3 extra workers ride the adopted
-    // reservation, so construction charges nothing further — the
-    // atomic claim at reservation time is the whole charge.
-    exec::ThreadReservation claim(3, /*force=*/false);
-    ASSERT_EQ(claim.granted(), 3u);
-    EXPECT_EQ(budget.used(), 3u);
-    {
-        TaskPool pool(4, std::move(claim));
-        EXPECT_EQ(pool.jobs(), 4u);
-        EXPECT_EQ(budget.used(), 3u);
-    }
-    EXPECT_EQ(budget.used(), 0u);
-
-    // Partial cover: only the shortfall beyond the reservation is
-    // hard-charged, and both halves release with the pool.
-    exec::ThreadReservation partial(1, /*force=*/false);
-    ASSERT_EQ(partial.granted(), 1u);
-    {
-        TaskPool pool(4, std::move(partial));
-        EXPECT_EQ(budget.used(), 3u);
-    }
-    EXPECT_EQ(budget.used(), 0u);
-
-    budget.setCapacityForTest(0);
-}
-
-TEST(L2Gate, ColdStartSerializesSharedAccessesInKeyOrder)
-{
-    // Every core starts the epoch at cycle 0 with nothing committed
-    // (reset(0)). The contract says cycle 0's accesses still happen
-    // in ascending core id — the regression here was a fresh gate
-    // treating "no peer has committed anything" as a passable floor
-    // and letting all cores through at once. The appends below are
-    // deliberately unsynchronized: the gate's happens-before chain
-    // is the only thing ordering them, so a hole shows up both as
-    // an out-of-order key sequence and as a tsan data race.
-    constexpr std::uint32_t kCores = 4;
-    constexpr Cycle kCycles = 64;
-    L2AccessGate gate(kCores);
-    gate.reset(0);
-
-    std::vector<std::pair<Cycle, std::uint32_t>> keys;
-    keys.reserve(kCores * kCycles);
-    std::vector<std::thread> threads;
-    threads.reserve(kCores);
-    for (std::uint32_t core = 0; core < kCores; ++core) {
-        threads.emplace_back([&gate, &keys, core] {
-            for (Cycle cycle = 0; cycle < kCycles; ++cycle) {
-                gate.publish(core, cycle);
-                gate.await(core);
-                keys.emplace_back(cycle, core);
-            }
-            gate.park(core);
-        });
-    }
-    for (std::thread& thread : threads)
-        thread.join();
-
-    ASSERT_EQ(keys.size(), kCores * kCycles);
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-        EXPECT_EQ(keys[i].first, i / kCores) << "append " << i;
-        EXPECT_EQ(keys[i].second, i % kCores) << "append " << i;
-    }
 }
 
 TEST(RunCache, MissComputesAndHitReplays)

@@ -6,20 +6,17 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <map>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "core/simulation.h"
-#include "exec/thread_budget.h"
 #include "jvm/benchmarks.h"
 #include "jvm/data_model.h"
 #include "mem/cache.h"
 #include "os/allocation/allocation.h"
 #include "os/allocation/multi_core.h"
-#include "resilience/checkpoint.h"
 #include "resilience/fault_plan.h"
 #include "resilience/supervisor.h"
 
@@ -392,132 +389,6 @@ TEST(MigrationInvariants, HoldAtSupervisorCancellationPoints)
                 checkThreadConservation(system, sim);
             }
         });
-}
-
-TEST(MigrationInvariants,
-     HoldAtSupervisorCancellationPointsUnderParallelStepping)
-{
-    // The parallel-stepping variant of the cancellation test: the
-    // watchdog fires while worker threads are mid-epoch behind the
-    // L2AccessGate. Cancellation parks every in-flight slice, so
-    // the chip must come to rest consistent — and a chip cancelled
-    // under 4 step threads must resume cleanly under the serial
-    // reference engine (thread count is a wall-clock knob, never
-    // state).
-    exec::ThreadBudget::instance().setCapacityForTest(16);
-    resilience::FaultPlan plan;
-    ASSERT_TRUE(
-        resilience::FaultPlan::parse("task-delay=chip@50", &plan));
-    resilience::SupervisorOptions options;
-    options.jobs = 2;
-    options.maxAttempts = 1;
-    options.taskTimeoutSeconds = 0.2;
-    options.faultPlan = &plan;
-    resilience::Supervisor supervisor(options);
-
-    supervisor.run(
-        2,
-        [](std::size_t i) { return "chip" + std::to_string(i); },
-        [&](resilience::TaskContext& ctx) {
-            MultiCoreConfig config;
-            config.system.seed = 23 + ctx.index;
-            config.cores = 4;
-            config.policy = ctx.index == 0
-                                ? AllocPolicyKind::kRoundRobin
-                                : AllocPolicyKind::kIpcSymbiosis;
-            config.epochCycles = 10'000;
-            MultiCoreSystem system(config);
-            MultiCoreSimulation sim(system);
-            for (const char* benchmark :
-                 {"PseudoJBB", "jess", "MolDyn", "db"}) {
-                WorkloadSpec spec;
-                spec.benchmark = benchmark;
-                spec.lengthScale = 0.5;
-                sim.addProcess(spec);
-            }
-            MultiCoreSimulation::RunOptions run;
-            run.cancellation = ctx.token;
-            run.cancelCheckIntervalCycles = 4096;
-            run.stepThreads = 4;
-            const MultiRunResult result = sim.run(run);
-            checkThreadConservation(system, sim);
-            if (result.cancelled) {
-                ASSERT_FALSE(result.allComplete);
-                MultiCoreSimulation::RunOptions resume;
-                resume.stepThreads = 1;
-                const MultiRunResult resumed = sim.run(resume);
-                ASSERT_TRUE(resumed.allComplete);
-                checkThreadConservation(system, sim);
-            }
-        });
-    exec::ThreadBudget::instance().setCapacityForTest(0);
-}
-
-// ---------------------------------------------------------------
-// Sweep checkpoint entries are invariant to the stepping engine's
-// worker count: a manifest recorded under --step-threads 4 resumes
-// a --step-threads 1 sweep (and vice versa) bit-identically.
-// ---------------------------------------------------------------
-
-TEST(MigrationInvariants, SweepResumeAcrossStepThreadCounts)
-{
-    exec::ThreadBudget::instance().setCapacityForTest(16);
-    const std::string path =
-        testing::TempDir() + "jsmt_property_stepthreads.json";
-    std::remove(path.c_str());
-    const std::string topology =
-        resilience::SweepCheckpoint::describeTopology(
-            2, allocPolicyName(AllocPolicyKind::kRoundRobin));
-
-    const auto run_chip = [](std::uint32_t step_threads) {
-        MultiCoreConfig config;
-        config.system.seed = 42;
-        config.cores = 2;
-        config.policy = AllocPolicyKind::kRoundRobin;
-        config.epochCycles = 20'000;
-        MultiCoreSystem system(config);
-        MultiCoreSimulation sim(system);
-        for (const char* benchmark : {"PseudoJBB", "jess"}) {
-            WorkloadSpec spec;
-            spec.benchmark = benchmark;
-            spec.lengthScale = 0.02;
-            sim.addProcess(spec);
-        }
-        MultiCoreSimulation::RunOptions run;
-        run.stepThreads = step_threads;
-        return sim.run(run);
-    };
-
-    // Record the point under parallel stepping.
-    const MultiRunResult parallel = run_chip(4);
-    ASSERT_TRUE(parallel.allComplete);
-    {
-        resilience::SweepCheckpoint checkpoint(path, 1, topology);
-        ASSERT_FALSE(checkpoint.topologyMismatch());
-        checkpoint.record("point0", parallel.toRunResult());
-    }
-
-    // A later serial sweep resumes the entry (topology matches:
-    // the step-threads field is not identity) and the replayed
-    // result is bit-identical to simulating the point serially.
-    resilience::SweepCheckpoint resumed(path, 1, topology);
-    ASSERT_FALSE(resumed.topologyMismatch());
-    ASSERT_EQ(resumed.resumed(), 1u);
-    RunResult replayed;
-    ASSERT_TRUE(resumed.lookup("point0", &replayed));
-    const RunResult serial = run_chip(1).toRunResult();
-    EXPECT_EQ(replayed.cycles, serial.cycles);
-    EXPECT_EQ(replayed.allComplete, serial.allComplete);
-    for (ContextId ctx = 0; ctx < kNumContexts; ++ctx) {
-        for (std::size_t e = 0; e < kNumEventIds; ++e) {
-            EXPECT_EQ(replayed.events[ctx][e],
-                      serial.events[ctx][e])
-                << "ctx " << ctx << " event "
-                << eventName(static_cast<EventId>(e));
-        }
-    }
-    std::remove(path.c_str());
-    exec::ThreadBudget::instance().setCapacityForTest(0);
 }
 
 } // namespace

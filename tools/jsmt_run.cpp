@@ -24,15 +24,6 @@
  *                                  (default 200000); cores run
  *                                  independently for one epoch, then
  *                                  rebalance
- *     --step-threads N             worker threads stepping the core
- *                                  slices inside each epoch
- *                                  (default 1 = serial reference;
- *                                  0 = auto-size to what the thread
- *                                  budget left free after --jobs;
- *                                  max 64). Results are
- *                                  bit-identical for every value —
- *                                  this is purely a wall-clock knob
- *                                  (also JSMT_STEP_THREADS)
  *     --pair-matrix                run the canonical pair matrix
  *                                  (the ten identical benchmark
  *                                  pairs, 2 x cores processes per
@@ -165,10 +156,6 @@ struct Options
     bool pairMatrix = false;
     /** Pair-matrix over all 55 unordered combinations. */
     bool pairMatrixFull = false;
-    /** In-epoch stepping workers (1 = serial ref, 0 = auto). */
-    std::uint32_t stepThreads = 1;
-    /** Whether --step-threads was given (beats the env var). */
-    bool stepThreadsSet = false;
     /** Benchmarks of a --sweep run (empty = single-run mode). */
     std::vector<std::string> sweep;
     /** Checkpoint manifest for --sweep (empty = no checkpoint). */
@@ -186,7 +173,6 @@ constexpr const char* kFlagSummary =
     "[--seed N]\n"
     "                [--cores N] [--alloc POLICY] "
     "[--alloc-epoch N]\n"
-    "                [--step-threads N]\n"
     "                [--pair-matrix] [--pair-matrix-full]\n"
     "                [--events a,b,c] "
     "[--sample-interval N]\n"
@@ -331,16 +317,6 @@ parseArgs(int argc, char** argv)
                 std::cerr << "--alloc-epoch must be positive\n";
                 std::exit(kUsageError);
             }
-        } else if (arg == "--step-threads") {
-            const std::uint64_t n = uintArg(arg, next());
-            if (n > 64) {
-                std::cerr
-                    << "--step-threads must be in [0, 64] "
-                       "(0 = auto)\n";
-                std::exit(kUsageError);
-            }
-            options.stepThreads = static_cast<std::uint32_t>(n);
-            options.stepThreadsSet = true;
         } else if (arg == "--pair-matrix") {
             options.pairMatrix = true;
         } else if (arg == "--pair-matrix-full") {
@@ -406,18 +382,6 @@ parseArgs(int argc, char** argv)
     }
     if (options.traceFile.empty())
         options.traceFile = envPath("JSMT_TRACE");
-    if (!options.stepThreadsSet && envIsSet("JSMT_STEP_THREADS")) {
-        // Same warn-and-default hardening as every JSMT_* knob: a
-        // malformed or out-of-range value must never silently
-        // change how a run executes.
-        const std::uint64_t n = envUint("JSMT_STEP_THREADS", 1, 0);
-        if (n > 64) {
-            warn("JSMT_STEP_THREADS=" + std::to_string(n) +
-                 " above 64; using 1");
-        } else {
-            options.stepThreads = static_cast<std::uint32_t>(n);
-        }
-    }
     if (options.pairMatrix) {
         if (!options.workloads.empty() ||
             !options.sweep.empty()) {
@@ -478,10 +442,6 @@ measureMultiSolo(const Options& options, SystemConfig config,
     MultiCoreSimulation::RunOptions run_options;
     run_options.fastForward = options.fastForward;
     run_options.cancellation = cancel;
-    // Sweep points may already be fanned out over --jobs; explicit
-    // step-thread requests degrade to budget-polite auto so the two
-    // layers share the host instead of multiplying on it.
-    run_options.stepThreads = options.stepThreads == 1 ? 1 : 0;
     return sim.run(run_options).toRunResult();
 }
 
@@ -663,7 +623,6 @@ runPairMatrixMode(const Options& options)
     matrix.lengthScale = options.scale;
     matrix.epochCycles = options.allocEpoch;
     matrix.identicalOnly = !options.pairMatrixFull;
-    matrix.stepThreads = options.stepThreads;
 
     const std::vector<PairMatrixCell> cells =
         runPairMatrix(config, matrix);
@@ -779,7 +738,6 @@ runMulti(const Options& options,
     MultiCoreSimulation::RunOptions run_options;
     run_options.fastForward = options.fastForward;
     run_options.trace = tracing ? &sink : nullptr;
-    run_options.stepThreads = options.stepThreads;
     const MultiRunResult multi = sim.run(run_options);
     const RunResult result = multi.toRunResult();
 
