@@ -1,6 +1,9 @@
 #include "common/rng.h"
 
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <mutex>
 
 namespace jsmt {
 
@@ -32,69 +35,139 @@ Rng::Rng(std::uint64_t seed)
     }
 }
 
-Rng::GeoDist&
-Rng::geoDistFor(double p)
+std::uint64_t
+uniformThreshold(double x)
 {
-    for (std::uint32_t i = 0; i < kGeoDists; ++i) {
-        if (_geo[i].p == p) {
-            _geoMru = i;
-            return _geo[i];
-        }
+    if (!(x > 0.0))
+        return 0;
+    if (x >= 1.0)
+        return std::uint64_t{1} << 53;
+    return static_cast<std::uint64_t>(std::ceil(x * 0x1.0p53));
+}
+
+namespace {
+
+/**
+ * Registry node: the tables form an append-only list that readers
+ * walk without a lock. A node is fully built before the release
+ * store that publishes it, and never changes or goes away after.
+ */
+struct GeoNode
+{
+    GeoTable table;
+    std::uint64_t pBits;
+    const GeoNode* next;
+};
+
+std::atomic<const GeoNode*> g_geoHead{nullptr};
+std::mutex g_geoBuild;
+
+/** Keyed by bit pattern so that even a NaN p finds its table. */
+const GeoTable*
+findGeoTable(const GeoNode* node, std::uint64_t p_bits)
+{
+    for (; node != nullptr; node = node->next) {
+        if (node->pBits == p_bits)
+            return &node->table;
     }
-    _geoMru = _geoEvict;
-    GeoDist& dist = _geo[_geoEvict];
-    _geoEvict = (_geoEvict + 1) % kGeoDists;
-    dist.p = p;
-    dist.logDenom = std::log1p(-p);
-    // Interval for result k, shrunk by kMargin in quotient units on
+    return nullptr;
+}
+
+} // namespace
+
+const GeoTable&
+GeoTable::forP(double p)
+{
+    const auto p_bits = std::bit_cast<std::uint64_t>(p);
+    if (const GeoTable* table = findGeoTable(
+            g_geoHead.load(std::memory_order_acquire), p_bits))
+        return *table;
+    // First request for this p: build under the lock, re-checking
+    // in case a racing thread published it meanwhile. Nodes are
+    // immortal (reachable from g_geoHead for the process lifetime);
+    // a run touches a few dozen distinct p values at most.
+    std::lock_guard<std::mutex> lock(g_geoBuild);
+    const GeoNode* head = g_geoHead.load(std::memory_order_relaxed);
+    if (const GeoTable* table = findGeoTable(head, p_bits))
+        return *table;
+    const auto* node = new GeoNode{GeoTable(p), p_bits, head};
+    g_geoHead.store(node, std::memory_order_release);
+    return node->table;
+}
+
+GeoTable::GeoTable(double p) : _p(p), _logDenom(std::log1p(-p))
+{
+    // Interval for result n, shrunk by kMargin in quotient units on
     // each side. The quotient's rounding error is bounded by a few
-    // ulps (|q| <= 48 here, so absolute error < 1e-13), and the
-    // expm1 below is itself faithful, so any u inside [lo, hi] is
-    // guaranteed to floor to k in the reference computation.
+    // ulps (|q| <= 48 here, so absolute error < 1e-13), far inside
+    // the margin. Rounding the edges to doubles is not: once an
+    // interval's margin in u is below an ulp of u (large n and p,
+    // e.g. n >= 33 at p = 0.5), an edge can round onto the far side
+    // of the true boundary. So an interval is kept only when the
+    // reference floors both of its edges to n; the reference is
+    // monotone in u, so it then floors every u inside to n, and the
+    // table ends at the first interval that fails.
     constexpr double kMargin = 1e-6;
-    dist.len = 0;
-    for (std::size_t k = 0; k < dist.lo.size(); ++k) {
-        const double q = static_cast<double>(k);
-        const double lo = -std::expm1((q + kMargin) * dist.logDenom);
-        const double hi =
-            -std::expm1((q + 1.0 - kMargin) * dist.logDenom);
-        if (!(lo < hi) || !(hi < 1.0))
+    for (std::uint32_t n = 0; n < kMaxIntervals; ++n) {
+        const double q = static_cast<double>(n);
+        const double lo = -std::expm1((q + kMargin) * _logDenom);
+        const double hi = -std::expm1((q + 1.0 - kMargin) * _logDenom);
+        if (!(lo < hi) || !(hi < 1.0) || floorQuotient(lo) != n ||
+            floorQuotient(hi) != n)
             break;
-        dist.lo[k] = lo;
-        dist.hi[k] = hi;
-        ++dist.len;
+        _lo[n] = lo;
+        _hi[n] = hi;
+        ++_len;
     }
     // The quotient is never negative (both logs are negative), so
     // every u below hi[0] floors to 0.
-    if (dist.len > 0)
-        dist.lo[0] = 0.0;
-    // Bucket table: j covers u in [j, j+1) / kBuckets (both edges
-    // exact doubles). The bucket takes interval k only when it lies
-    // entirely inside [lo[k], hi[k]]: then any u in the bucket
-    // satisfies lo[k] <= u < hi[k], and since u > hi[k-1] the scan's
-    // first match is k. Everything else keeps the slow marker.
-    dist.bucket.fill(GeoDist::kSlowBucket);
-    std::uint32_t k = 0;
-    for (std::uint32_t j = 0; j < GeoDist::kBuckets; ++j) {
-        const double blo = static_cast<double>(j) / GeoDist::kBuckets;
-        const double bhi =
-            static_cast<double>(j + 1) / GeoDist::kBuckets;
-        while (k < dist.len && dist.hi[k] < bhi)
-            ++k;
-        if (k >= dist.len)
+    if (_len > 0)
+        _lo[0] = 0.0;
+    // Bucket j covers u in [j, j+1) / kBuckets (both edges exact
+    // doubles). The bucket takes interval n only when it lies
+    // entirely inside [lo[n], hi[n]]: then any u in the bucket
+    // satisfies lo[n] <= u < hi[n], and since u > hi[n-1] the scan's
+    // first match is n. Everything else keeps the slow marker.
+    _bucket.fill(kSlowBucket);
+    std::uint32_t n = 0;
+    for (std::uint32_t j = 0; j < kBuckets; ++j) {
+        const double blo = static_cast<double>(j) / kBuckets;
+        const double bhi = static_cast<double>(j + 1) / kBuckets;
+        while (n < _len && _hi[n] < bhi)
+            ++n;
+        if (n >= _len)
             break;
-        if (dist.lo[k] <= blo && bhi <= dist.hi[k])
-            dist.bucket[j] = static_cast<std::uint8_t>(k);
+        if (_lo[n] <= blo && bhi <= _hi[n])
+            _bucket[j] = static_cast<std::uint8_t>(n);
     }
-    return dist;
 }
 
 std::uint64_t
-Rng::geometricSlow(double u, const GeoDist& dist, std::uint64_t cap)
+GeoTable::sampleSlow(std::uint64_t raw, std::uint64_t cap) const
 {
-    const double v = std::log1p(-u) / dist.logDenom;
-    const auto n = static_cast<std::uint64_t>(v);
+    const double u = static_cast<double>(raw) * 0x1.0p-53;
+    for (std::uint32_t n = 0; n < _len; ++n) {
+        if (u <= _hi[n]) {
+            if (u >= _lo[n])
+                return n > cap ? cap : n;
+            break; // Boundary sliver: reference path.
+        }
+    }
+    return reference(raw, cap);
+}
+
+std::uint64_t
+GeoTable::reference(std::uint64_t raw, std::uint64_t cap) const
+{
+    const std::uint64_t n =
+        floorQuotient(static_cast<double>(raw) * 0x1.0p-53);
     return n > cap ? cap : n;
+}
+
+std::uint64_t
+GeoTable::floorQuotient(double u) const
+{
+    return static_cast<std::uint64_t>(std::log1p(-u) / _logDenom);
 }
 
 Rng

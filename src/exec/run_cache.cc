@@ -296,8 +296,7 @@ describeSystemConfig(const SystemConfig& config)
         << core.mispredictRedirectCycles << '/'
         << core.contextSwitchFlushCycles;
     out << ";mem=" << mem.traceCacheLines << '/'
-        << mem.traceCacheWays << '/' << mem.uopsPerTraceLine << '/'
-        << mem.l1dBytes << '/' << mem.l1dWays << '/' << mem.l2Bytes
+        << mem.traceCacheWays << '/' << mem.l1dBytes << '/' << mem.l1dWays << '/' << mem.l2Bytes
         << '/' << mem.l2Ways << '/' << mem.lineBytes << '/'
         << mem.itlbEntries << '/' << mem.itlbWays << '/'
         << mem.dtlbEntries << '/' << mem.dtlbWays << '/'

@@ -6,12 +6,16 @@ namespace jsmt {
 
 CodeWalker::CodeWalker(const WorkloadProfile& profile, Rng rng,
                        Addr base)
-    : _profile(profile), _rng(std::move(rng)), _base(base)
+    : _profile(profile),
+      _rng(std::move(rng)),
+      _jumpLocal(profile.codeJumpLocal),
+      _runP(1.0 / profile.codeMeanRun),
+      _base(base)
 {
     _line = static_cast<std::uint32_t>(
         _rng.below(_profile.codeLines));
     _runRemaining = static_cast<std::uint32_t>(
-        1 + _rng.geometric(1.0 / _profile.codeMeanRun, 64));
+        1 + _rng.geometric(_runP, 64));
 }
 
 Addr
@@ -26,7 +30,7 @@ CodeWalker::nextLine()
         // Take a jump and start a new run.
         _lastWasJump = true;
         const std::uint32_t lines = _profile.codeLines;
-        if (_rng.chance(_profile.codeJumpLocal)) {
+        if (_rng.chance(_jumpLocal)) {
             // Loop-local: land within the trailing window.
             const std::uint32_t window =
                 std::min(_profile.codeLoopWindow, lines);
@@ -38,7 +42,7 @@ CodeWalker::nextLine()
             _line = static_cast<std::uint32_t>(_rng.below(lines));
         }
         _runRemaining = static_cast<std::uint32_t>(
-            _rng.geometric(1.0 / _profile.codeMeanRun, 64));
+            _rng.geometric(_runP, 64));
     }
     return currentAddr();
 }

@@ -76,6 +76,10 @@ class CodeWalker
   private:
     const WorkloadProfile& _profile;
     Rng _rng;
+    /** codeJumpLocal as an integer threshold (Rng::Odds). */
+    Rng::Odds _jumpLocal;
+    /** Success probability of the run-length draw. */
+    double _runP;
     Addr _base;
     std::uint32_t _line = 0;
     std::uint32_t _runRemaining = 0;

@@ -23,6 +23,8 @@
 #ifndef JSMT_JVM_DATA_MODEL_H
 #define JSMT_JVM_DATA_MODEL_H
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "common/exact_div.h"
@@ -60,8 +62,11 @@ class DataModel
     std::uint64_t privateStride() const { return _privateStride; }
 
   private:
-    Addr regionAddr(Addr base, const ExactDiv& hot,
-                    const ExactDiv& warm, const ExactDiv& cold);
+    /** Reuse tiers of one region: hot, warm, cold (whole region). */
+    using Tiers = std::array<ExactDiv, 3>;
+    static constexpr std::size_t kCold = 2;
+
+    Addr regionAddr(Addr base, const Tiers& tiers);
 
     const WorkloadProfile& _profile;
     Rng _rng;
@@ -70,15 +75,21 @@ class DataModel
     std::uint64_t _privateStride;
     std::uint64_t _sweepPos = 0;
 
-    // Reduction spans are fixed per profile, so the `% span` on
-    // every generated address uses a precomputed exact divide
+    // The profile's probabilities as integer thresholds on one draw
+    // (Rng::Odds, uniformThreshold): same results, same draws.
+    Rng::Odds _private;
+    Rng::Odds _crossThread;
+    Rng::Odds _sweep;
+    /** Draws below this pick the hot tier. */
+    std::uint64_t _hotCut;
+    /** Draws below this (and not hot) pick the warm tier. */
+    std::uint64_t _warmCut;
+
+    // Tier spans are fixed per profile, so the `% span` on every
+    // generated address uses a precomputed exact divide
     // (bit-identical to the hardware `%`, far cheaper).
-    ExactDiv _privHot;
-    ExactDiv _privWarm;
-    ExactDiv _privCold;
-    ExactDiv _sharedHot;
-    ExactDiv _sharedWarm;
-    ExactDiv _sharedCold;
+    Tiers _privTiers;
+    Tiers _sharedTiers;
     ExactDiv _peerPick;
 };
 

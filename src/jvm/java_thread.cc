@@ -1,6 +1,7 @@
 #include "jvm/java_thread.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/log.h"
@@ -53,7 +54,51 @@ collectorProfileRef()
     return profile;
 }
 
+/** µop type and latency of each slot of the threshold count. */
+struct UopSlot
+{
+    UopType type;
+    std::uint16_t latency;
+};
+
+/** Slot = number of type cuts at or below the draw (UopMix). */
+constexpr std::array<UopSlot, 5> kUopSlots = {{
+    {UopType::kLoad, 1},
+    {UopType::kStore, 1},
+    {UopType::kFp, 5},
+    {UopType::kBranch, 1},
+    {UopType::kAlu, 1},
+}};
+constexpr std::uint32_t kBranchSlot = 3;
+/** Slots below this are loads and stores (they draw an address). */
+constexpr std::uint32_t kFirstNonMemSlot = 2;
+
 } // namespace
+
+JavaThread::UopMix::UopMix(const WorkloadProfile& profile)
+    : depP(1.0 / profile.meanDepDist),
+      mispredict(static_cast<float>(profile.mispredictRate)),
+      rebuild(static_cast<float>(profile.traceDiversity))
+{
+    // Cumulative sums in the reference left-to-right association, so
+    // each cut reproduces the double comparison it replaces. The
+    // fractions are validated non-negative, so the cuts never
+    // decrease and counting the cuts at or below a draw selects the
+    // same type as the first-match comparison chain.
+    const double load_hi = profile.loadFrac;
+    const double store_hi = load_hi + profile.storeFrac;
+    const double fp_hi = store_hi + profile.fpFrac;
+    const double branch_hi = fp_hi + profile.branchFrac;
+    typeCut = {uniformThreshold(load_hi), uniformThreshold(store_hi),
+               uniformThreshold(fp_hi), uniformThreshold(branch_hi)};
+}
+
+const JavaThread::UopMix&
+JavaThread::kernelMix()
+{
+    static const UopMix mix(kernelProfileRef());
+    return mix;
+}
 
 JavaThread::JavaThread(ThreadId id, JavaProcess& process,
                        ThreadKind kind, std::uint32_t app_index,
@@ -72,6 +117,8 @@ JavaThread::JavaThread(ThreadId id, JavaProcess& process,
       _data(process.profile(), _rng.fork(), app_index,
             process.numAppThreads()),
       _kernelDataModel(kernelProfileRef(), _rng.fork(), 0, 1),
+      _userMix(kind == ThreadKind::kCollector ? collectorProfileRef()
+                                              : process.profile()),
       _quota(quota_uops)
 {
     const WorkloadProfile& profile = process.profile();
@@ -144,77 +191,54 @@ JavaThread::gcScanAddr()
 
 void
 JavaThread::fillBundle(FetchBundle& bundle, CodeWalker& walker,
-                       bool kernel_mode, bool memory_heavy)
+                       const UopMix& mix, bool kernel_mode,
+                       bool memory_heavy)
 {
-    const WorkloadProfile& profile =
-        kernel_mode ? kernelProfileRef()
-        : _kind == ThreadKind::kCollector && memory_heavy
-            ? collectorProfileRef()
-            : _process.profile();
-
     bundle.lineVaddr = walker.currentAddr();
     bundle.traceAddr = walker.currentDenseAddr();
     bundle.asid = kernel_mode ? kKernelAsid : _process.asid();
     bundle.kernelMode = kernel_mode;
-    bundle.rebuildProb =
-        static_cast<float>(profile.traceDiversity);
+    bundle.rebuildProb = mix.rebuild;
     bundle.count = 0;
 
     walker.nextLine();
-    const bool ends_in_jump = walker.lastStepWasJump();
+    DataModel& data = kernel_mode ? _kernelDataModel : _data;
 
-    // Per-bundle invariants, hoisted out of the µop loop (this loop
-    // is the hottest workload-synthesis path in the simulator). The
-    // threshold sums keep the reference left-to-right association so
-    // the comparisons are bit-identical to the per-µop forms.
-    const double dep_p = 1.0 / profile.meanDepDist;
-    const double load_hi = profile.loadFrac;
-    const double store_hi = load_hi + profile.storeFrac;
-    const double fp_hi = store_hi + profile.fpFrac;
-    const double branch_hi = fp_hi + profile.branchFrac;
-    const auto mispredict = static_cast<float>(profile.mispredictRate);
-
+    // This loop is the hottest workload-synthesis path in the
+    // simulator. Per µop it makes the draws of the reference
+    // comparison chain in the same order (dependence distance, type,
+    // then an address for loads and stores only), but selects the
+    // type by counting integer cut points instead of branching on a
+    // double.
     const auto line_uops =
         static_cast<std::uint8_t>(kUopsPerTraceLine);
+    const auto jump_slot = static_cast<std::uint8_t>(
+        walker.lastStepWasJump() ? line_uops - 1 : line_uops);
     for (std::uint8_t i = 0; i < line_uops; ++i) {
         // Field writes instead of a whole-struct reset: the pipeline
         // reads dataVaddr only for loads/stores and mispredictProb
-        // only for branches, so a stale value in an unused field is
-        // unobservable; every consumed field is written below
-        // (execLatency is read for every type).
+        // only for branches, so a stale or unused value in those
+        // fields is unobservable; every consumed field is written.
         Uop& uop = bundle.uops[i];
         uop.kernelMode = kernel_mode;
         uop.pc = bundle.traceAddr + static_cast<Addr>(i) * 4;
         uop.depDist = static_cast<std::uint8_t>(std::min<std::uint64_t>(
-            1 + _rng.geometric(dep_p, kMaxDepDist), kMaxDepDist));
-        uop.execLatency = 1;
+            1 + _rng.geometric(mix.depP, kMaxDepDist), kMaxDepDist));
 
-        const bool is_last = (i + 1 == line_uops);
-        const double r = _rng.uniform();
-        if (is_last && ends_in_jump) {
-            uop.type = UopType::kBranch;
-            uop.mispredictProb = mispredict;
-        } else if (r < load_hi) {
-            uop.type = UopType::kLoad;
-            uop.dataVaddr = memory_heavy ? gcScanAddr()
-                            : kernel_mode
-                                ? _kernelDataModel.nextAddr()
-                                : _data.nextAddr();
-        } else if (r < store_hi) {
-            uop.type = UopType::kStore;
-            uop.dataVaddr = memory_heavy ? gcScanAddr()
-                            : kernel_mode
-                                ? _kernelDataModel.nextAddr()
-                                : _data.nextAddr();
-        } else if (r < fp_hi) {
-            uop.type = UopType::kFp;
-            uop.execLatency = 5;
-        } else if (r < branch_hi) {
-            uop.type = UopType::kBranch;
-            uop.mispredictProb = mispredict;
-        } else {
-            uop.type = UopType::kAlu;
-        }
+        const std::uint64_t k = _rng.next53();
+        std::uint32_t slot = (k >= mix.typeCut[0] ? 1u : 0u) +
+                             (k >= mix.typeCut[1] ? 1u : 0u) +
+                             (k >= mix.typeCut[2] ? 1u : 0u) +
+                             (k >= mix.typeCut[3] ? 1u : 0u);
+        // A line that ends in a taken jump ends in a branch (the
+        // type draw is still consumed).
+        slot = i == jump_slot ? kBranchSlot : slot;
+        uop.type = kUopSlots[slot].type;
+        uop.execLatency = kUopSlots[slot].latency;
+        uop.mispredictProb = mix.mispredict;
+        if (slot < kFirstNonMemSlot)
+            uop.dataVaddr =
+                memory_heavy ? gcScanAddr() : data.nextAddr();
     }
     bundle.count = line_uops;
     noteGenerated(bundle.count);
@@ -223,7 +247,7 @@ JavaThread::fillBundle(FetchBundle& bundle, CodeWalker& walker,
 void
 JavaThread::kernelBundle(FetchBundle& bundle)
 {
-    fillBundle(bundle, _kernelWalker, true, false);
+    fillBundle(bundle, _kernelWalker, kernelMix(), true, false);
     const std::uint64_t consumed = takeKernelWork(bundle.count);
     // A short tail of kernel work still fills a whole trace line;
     // account the overshoot as kernel work too (rounding only).
@@ -238,7 +262,7 @@ JavaThread::collectorBundle(Cycle now, FetchBundle& bundle)
         block(BlockReason::kDormant);
         return false;
     }
-    fillBundle(bundle, _appWalker, false, true);
+    fillBundle(bundle, _appWalker, _userMix, false, true);
     const std::uint64_t done =
         std::min<std::uint64_t>(_gcRemaining, bundle.count);
     _gcRemaining -= done;
@@ -299,7 +323,7 @@ JavaThread::appBundle(Cycle now, FetchBundle& bundle)
         return true;
     }
 
-    fillBundle(bundle, _appWalker, false, false);
+    fillBundle(bundle, _appWalker, _userMix, false, false);
     _userGenerated += bundle.count;
     if (_inCriticalSection) {
         _monitorRemaining -=

@@ -14,6 +14,7 @@
 #ifndef JSMT_JVM_JAVA_THREAD_H
 #define JSMT_JVM_JAVA_THREAD_H
 
+#include <array>
 #include <cstdint>
 
 #include "common/rng.h"
@@ -87,9 +88,31 @@ class JavaThread : public SoftwareThread
     void grantMonitor();
 
   private:
-    /** Emit one trace line of user µops from @p walker. */
+    /**
+     * One profile's per-µop draw constants, compiled once: the
+     * dependence-distance p, the cumulative µop-type cut points as
+     * integer thresholds (see uniformThreshold), and the branch and
+     * trace-rebuild probabilities the bundle carries.
+     */
+    struct UopMix
+    {
+        explicit UopMix(const WorkloadProfile& profile);
+
+        double depP;
+        /** Cut points of load, store, fp and branch, in that order;
+         *  a draw at or above all four is an ALU µop. */
+        std::array<std::uint64_t, 4> typeCut;
+        float mispredict;
+        float rebuild;
+    };
+
+    /** @return the mix of every thread's kernel-mode stream. */
+    static const UopMix& kernelMix();
+
+    /** Emit one trace line of µops from @p walker. */
     void fillBundle(FetchBundle& bundle, CodeWalker& walker,
-                    bool kernel_mode, bool memory_heavy);
+                    const UopMix& mix, bool kernel_mode,
+                    bool memory_heavy);
 
     bool appBundle(Cycle now, FetchBundle& bundle);
     bool collectorBundle(Cycle now, FetchBundle& bundle);
@@ -107,6 +130,8 @@ class JavaThread : public SoftwareThread
     CodeWalker _kernelWalker;
     DataModel _data;
     DataModel _kernelDataModel;
+    /** Mix of the user-mode stream (app or collector profile). */
+    UopMix _userMix;
 
     std::uint64_t _quota;
     std::uint64_t _userGenerated = 0;
@@ -127,6 +152,11 @@ class JavaThread : public SoftwareThread
     std::uint64_t _gcRemaining = 0;
     std::uint64_t _gcSweepPos = 0;
 };
+
+// A Fig 8 pass keeps thousands of finished threads alive until their
+// co-runs end; per-thread state must stay small.
+static_assert(sizeof(JavaThread) <= 4096,
+              "JavaThread must stay within one page");
 
 } // namespace jsmt
 

@@ -100,8 +100,6 @@ MemorySystem::MemorySystem(const MemConfig& config, Pmu& pmu,
       _itlb(itlbConfig(config)),
       _dtlb(dtlbConfig(config))
 {
-    if (config.uopsPerTraceLine == 0)
-        fatal("memory system: uopsPerTraceLine must be positive");
     // Translation has always assumed power-of-two pages (the offset
     // mask); make that explicit and precompute the shift so the hot
     // translate path needs no division.
@@ -218,8 +216,9 @@ MemorySystem::fetchLine(Asid asid, Addr vaddr, Addr trace_addr,
     // the mechanism behind the paper's Figure 3.
     const Asid tc_asid =
         asid * 2 + (_hyperThreading ? (ctx % kNumContexts) : 0);
-    if (_traceCache.accessFast(tc_asid, trace_addr, ctx,
-                               &_tcMemo[ctx]) &&
+    // Plain access: every bundle fetches a new trace line, so a
+    // repeat-line memo here would almost never hit.
+    if (_traceCache.access(tc_asid, trace_addr, ctx) &&
         !force_rebuild) {
         result.latency = 0;
         return result;
@@ -295,7 +294,6 @@ MemorySystem::flushAll()
     _l2NextFree = 0;
     // The access memos would self-revalidate against the flushed
     // lines anyway; clearing them keeps no dangling bookkeeping.
-    _tcMemo.fill(Cache::AccessMemo{});
     for (AccessMemoTable& table : _l1dMemo)
         table.fill(Cache::AccessMemo{});
     for (AccessMemoTable& table : _dtlbMemo)

@@ -28,13 +28,13 @@ namespace jsmt {
 struct MemConfig
 {
     /**
-     * Trace cache: 12 Kµops organised as 2048 six-µop trace lines,
-     * 8-way set associative. Each trace line corresponds to a 64-byte
-     * block of code in the synthetic code space.
+     * Trace cache: 12 Kµops organised as 2048 six-µop trace lines
+     * (kUopsPerTraceLine, common/uop.h), 8-way set associative. Each
+     * trace line corresponds to a 64-byte block of code in the
+     * synthetic code space.
      */
     std::uint32_t traceCacheLines = 2048;
     std::uint32_t traceCacheWays = 8;
-    std::uint32_t uopsPerTraceLine = 6;
 
     std::uint64_t l1dBytes = 8 * 1024;
     std::uint32_t l1dWays = 4;
@@ -218,17 +218,16 @@ class MemorySystem
     /** log2(pageBytes); pages are validated power-of-two. */
     std::uint32_t _pageShift = 12;
 
-    // Access memos (bit-identical fast paths, Cache::accessFast).
-    // Instruction fetch re-touches the same trace line, so one memo
-    // per context suffices; data streams hop lines/pages, so the
-    // DTLB and L1D keep direct-mapped memo tables indexed by the
-    // low tag bits. 256 slots covers every resident line of the
-    // 128-line L1D / 128-entry DTLB, so nearly all hits take the
-    // walk-free path.
+    // Access memos (bit-identical fast paths, Cache::accessFast) for
+    // the data side only: data streams re-touch resident lines and
+    // pages, so the DTLB and L1D keep direct-mapped memo tables
+    // indexed by the low tag bits. 256 slots covers every resident
+    // line of the 128-line L1D / 128-entry DTLB, so nearly all hits
+    // take the walk-free path. Instruction fetch has no memo: each
+    // bundle fetches a new trace line.
     static constexpr std::uint32_t kMemoSlots = 256;
     using AccessMemoTable =
         std::array<Cache::AccessMemo, kMemoSlots>;
-    std::array<Cache::AccessMemo, kNumContexts> _tcMemo{};
     std::array<AccessMemoTable, kNumContexts> _l1dMemo{};
     std::array<AccessMemoTable, kNumContexts> _dtlbMemo{};
 

@@ -220,12 +220,9 @@ SmtCore::retireStage(Cycle now)
         while (budget > 0 && !cs.rob.empty() &&
                cs.rob.front().completion <= now) {
             RobEntry& entry = cs.rob.front();
-            if (entry.type == UopType::kLoad)
-                --cs.ldqOcc;
-            else if (entry.type == UopType::kStore)
-                --cs.stqOcc;
-            else if (entry.type == UopType::kBranch)
-                ++branches;
+            cs.ldqOcc -= entry.type == UopType::kLoad ? 1u : 0u;
+            cs.stqOcc -= entry.type == UopType::kStore ? 1u : 0u;
+            branches += entry.type == UopType::kBranch ? 1u : 0u;
             retired_uop.type = entry.type;
             retired_uop.kernelMode = entry.kernelMode;
             entry.thread->onRetire(retired_uop, now);
@@ -302,7 +299,13 @@ SmtCore::allocFromContext(ContextId ctx, Cycle now,
                 }
                 return used;
             }
-            if (!thread->nextBundle(now, fe.bundle)) {
+            bool produced;
+            {
+                ScopedStageTimer timer(
+                    _profiler, &StageProfiler::synthesisSeconds);
+                produced = thread->nextBundle(now, fe.bundle);
+            }
+            if (!produced) {
                 // Thread blocked or finished; the scheduler reacts
                 // on its next tick. Completion may have flipped —
                 // cue the driver's scan.
@@ -376,45 +379,35 @@ SmtCore::allocFromContext(ContextId ctx, Cycle now,
             bool mispredicted = false;
             std::uint32_t fetch_bubble = 0;
 
-            switch (uop.type) {
-              case UopType::kLoad: {
+            if (uop.type == UopType::kLoad ||
+                uop.type == UopType::kStore) {
+                const bool is_store = uop.type == UopType::kStore;
                 DataAccessResult access;
                 {
                     ScopedStageTimer timer(
                         _profiler, &StageProfiler::memorySeconds);
                     access = _mem.dataAccess(fe.bundle.asid,
                                              uop.dataVaddr, ctx,
-                                             false, ready);
+                                             is_store, ready);
                 }
-                latency = access.latency;
-                if (!access.l1Hit) {
-                    _pmu.record(EventId::kMemStallCycles, ctx,
-                                access.latency);
+                if (is_store) {
+                    // Buffered: affects caches, not the critical
+                    // path.
+                    latency = 1;
+                } else {
+                    latency = access.latency;
+                    if (!access.l1Hit) {
+                        _pmu.record(EventId::kMemStallCycles, ctx,
+                                    access.latency);
+                    }
                 }
-                break;
-              }
-              case UopType::kStore: {
-                // Buffered: affects caches, not the critical path.
-                ScopedStageTimer timer(
-                    _profiler, &StageProfiler::memorySeconds);
-                _mem.dataAccess(fe.bundle.asid, uop.dataVaddr, ctx,
-                                true, ready);
-                latency = 1;
-                break;
-              }
-              case UopType::kBranch: {
-                const bool line_end =
-                    fe.pos + 1 == fe.bundle.count;
+            } else if (uop.type == UopType::kBranch) {
+                const bool line_end = fe.pos + 1 == fe.bundle.count;
                 const BranchOutcome outcome = _branch.predict(
-                    fe.bundle.asid, uop.pc, ctx,
-                    uop.mispredictProb, _rng, line_end);
+                    fe.bundle.asid, uop.pc, ctx, uop.mispredictProb,
+                    _rng, line_end);
                 mispredicted = outcome.mispredicted;
                 fetch_bubble = outcome.fetchBubble;
-                break;
-              }
-              case UopType::kAlu:
-              case UopType::kFp:
-                break;
             }
 
             const Cycle issue = findIssueSlot(ready);
@@ -428,10 +421,8 @@ SmtCore::allocFromContext(ContextId ctx, Cycle now,
             entry.kernelMode = uop.kernelMode;
             if (cs.rob.size() == 1)
                 cs.headCompletion = completion;
-            if (uop.type == UopType::kLoad)
-                ++cs.ldqOcc;
-            else if (uop.type == UopType::kStore)
-                ++cs.stqOcc;
+            cs.ldqOcc += uop.type == UopType::kLoad ? 1u : 0u;
+            cs.stqOcc += uop.type == UopType::kStore ? 1u : 0u;
             ++fe.pos;
             ++used;
 

@@ -7,10 +7,10 @@
  * SmtCore::setProfiler(); when detached (the default) the pipeline
  * performs no clock reads at all, so profiling support costs the
  * unprofiled hot path nothing but a predicted-not-taken branch per
- * stage. The memory-walk time is accumulated from inside the
- * fetch/alloc stage, so memorySeconds is a subset of
- * fetchAllocSeconds; report fetch/alloc exclusive of memory by
- * subtraction.
+ * stage. The memory-walk and µop-synthesis times are accumulated
+ * from inside the fetch/alloc stage, so memorySeconds and
+ * synthesisSeconds are disjoint subsets of fetchAllocSeconds; report
+ * fetch/alloc exclusive of them by subtraction.
  */
 
 #ifndef JSMT_UARCH_STAGE_PROFILER_H
@@ -32,6 +32,8 @@ struct StageProfiler
     double fetchAllocSeconds = 0.0;
     /** Memory-hierarchy walks (fetchLine/dataAccess) only. */
     double memorySeconds = 0.0;
+    /** Workload µop synthesis (SoftwareThread::nextBundle) only. */
+    double synthesisSeconds = 0.0;
     /** Busy/idle/mode accounting (batched PMU window upkeep). */
     double accountSeconds = 0.0;
     /**

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -16,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/simulation.h"
 #include "exec/result_codec.h"
 #include "exec/run_cache.h"
@@ -110,6 +113,42 @@ TEST(TaskPool, FirstExceptionPropagatesAndPoolSurvives)
                      [&](std::size_t i) { ++touched[i]; });
     for (const int count : touched)
         EXPECT_EQ(count, 1);
+}
+
+TEST(TaskPool, WorkersShareOneGeometricTable)
+{
+    // A p no synthesis path uses, so the workers' lookups are the
+    // first requests for it in this process and race to build it.
+    const double p = 1.0 / 3.14159;
+    constexpr std::size_t kWorkers = 4;
+    TaskPool pool(kWorkers);
+    std::atomic<std::size_t> arrived{0};
+    std::vector<const GeoTable*> seen(kWorkers * 8);
+    std::vector<std::uint64_t> draws(seen.size());
+    pool.parallelFor(seen.size(), [&](std::size_t i) {
+        // Hold the first tasks at a start line (bounded, in case
+        // fewer workers run at once) so their lookups overlap.
+        arrived.fetch_add(1);
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(1);
+        while (arrived.load() < kWorkers &&
+               std::chrono::steady_clock::now() < deadline) {
+        }
+        seen[i] = &GeoTable::forP(p);
+        Rng rng(i);
+        for (int k = 0; k < 1000; ++k)
+            draws[i] += rng.geometric(p);
+    });
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+        EXPECT_EQ(seen[i], seen[0]) << i;
+        // Each worker's stream matches the same stream drawn here.
+        Rng rng(i);
+        std::uint64_t expected = 0;
+        for (int k = 0; k < 1000; ++k)
+            expected += rng.geometric(p);
+        EXPECT_EQ(draws[i], expected) << i;
+    }
+    EXPECT_EQ(seen[0]->p(), p);
 }
 
 TEST(TaskPool, JobResolutionHonorsEnvironment)

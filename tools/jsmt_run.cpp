@@ -46,7 +46,8 @@
  *     --profile                    print a per-stage wall-time
  *                                  breakdown of the simulator hot
  *                                  path (retire / fetch+alloc /
- *                                  memory walk / accounting) to
+ *                                  µop synthesis / memory walk /
+ *                                  accounting) to
  *                                  stderr after the run; adds clock
  *                                  reads, so the run is slower but
  *                                  the results are unchanged
@@ -959,14 +960,16 @@ main(int argc, char** argv)
             .count();
 
     if (options.profile) {
-        // fetchAllocSeconds includes the memory walks performed
-        // from inside the stage; report them exclusively. The
-        // fast_forward bucket (horizon probes + clock jumps +
-        // skipped-window accounting) is accumulated by the driver
-        // loop, so it is disjoint from the core stages.
+        // fetchAllocSeconds includes the memory walks and the µop
+        // synthesis performed from inside the stage; report them
+        // exclusively. The fast_forward bucket (horizon probes +
+        // clock jumps + skipped-window accounting) is accumulated
+        // by the driver loop, so it is disjoint from the core
+        // stages.
         const double memory = profiler.memorySeconds;
+        const double synthesis = profiler.synthesisSeconds;
         const double fetch_alloc =
-            profiler.fetchAllocSeconds - memory;
+            profiler.fetchAllocSeconds - memory - synthesis;
         const double staged = profiler.retireSeconds +
                               profiler.fetchAllocSeconds +
                               profiler.accountSeconds +
@@ -988,7 +991,9 @@ main(int argc, char** argv)
             "profile: %llu cycles simulated in %.3f s wall "
             "(%llu total incl. fast-forwarded)\n"
             "  retire           %8.3f s  %5.1f%%\n"
-            "  fetch+alloc      %8.3f s  %5.1f%%  (excl. memory)\n"
+            "  fetch+alloc      %8.3f s  %5.1f%%  "
+            "(excl. synthesis, memory)\n"
+            "  µop synthesis    %8.3f s  %5.1f%%\n"
             "  memory walk      %8.3f s  %5.1f%%\n"
             "  accounting       %8.3f s  %5.1f%%\n"
             "  fast_forward     %8.3f s  %5.1f%%\n"
@@ -999,7 +1004,8 @@ main(int argc, char** argv)
             run_wall,
             static_cast<unsigned long long>(result.cycles),
             profiler.retireSeconds, pct(profiler.retireSeconds),
-            fetch_alloc, pct(fetch_alloc), memory, pct(memory),
+            fetch_alloc, pct(fetch_alloc), synthesis, pct(synthesis),
+            memory, pct(memory),
             profiler.accountSeconds, pct(profiler.accountSeconds),
             profiler.fastForwardSeconds,
             pct(profiler.fastForwardSeconds), driver, pct(driver),
