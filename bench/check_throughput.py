@@ -22,7 +22,10 @@ Three classes of check, with very different tolerances:
 * Tracing overhead (trace_overhead_pct, multicore_trace_overhead_pct):
   absolute budget, default 2%. These are A/Bs measured within the
   same process on the same host, so they are machine-independent;
-  negative values (noise) pass.
+  negative values (noise) pass. Each is the median traced/untraced
+  ratio over 10 pairs of at least 1 s per side, the sides of a pair
+  alternating run by run, so a host slowdown lands on both sides and
+  one that still skews a few pairs cannot fail the gate alone.
 
 Multicore fields were added after the first baselines were
 committed; when the baseline lacks them, those checks are skipped so

@@ -26,8 +26,10 @@
 #include <cstdlib>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -139,20 +141,53 @@ soloRunSeconds(double scale, bool attach_disabled_sink)
 }
 
 /**
- * Relative slowdown (percent) of a disabled-tracer run against a
- * tracer-free run; best-of-N on both sides to shed scheduler noise.
+ * Disabled-tracer overhead (percent) of a timed run: the median,
+ * over kPairs pairs, of the pair's traced/untraced ratio of total
+ * seconds. Inside a pair the two sides alternate run by run (ABBA)
+ * until each has taken at least kMinSideSeconds, so a host slowdown
+ * that lasts a few seconds lands on both sides alike; the median
+ * then sheds the pairs it still skews. A best-of-3 over one 0.16 s
+ * run read 24% beside a compile and -1.5% on a quiet rerun.
+ *
+ * @param run_seconds wall seconds of one run, traced or not.
+ * @param untraced_out the fastest untraced run, in seconds (the
+ *        best-of estimator the throughput figures use).
  */
 double
-traceOverheadPct(double scale)
+pairedTraceOverheadPct(
+    const std::function<double(bool traced)>& run_seconds,
+    double* untraced_out = nullptr)
 {
-    constexpr int kRepeats = 3;
-    double off = 1e30;
-    double disabled = 1e30;
-    for (int i = 0; i < kRepeats; ++i) {
-        off = std::min(off, soloRunSeconds(scale, false));
-        disabled = std::min(disabled, soloRunSeconds(scale, true));
+    constexpr int kPairs = 10;
+    constexpr double kMinSideSeconds = 1.0;
+    const auto median = [](std::vector<double> v) {
+        std::sort(v.begin(), v.end());
+        const std::size_t mid = v.size() / 2;
+        return v.size() % 2 == 1 ? v[mid]
+                                 : (v[mid - 1] + v[mid]) / 2.0;
+    };
+    run_seconds(false); // Warm-up: first-use tables, page faults.
+    std::vector<double> ratios;
+    double fastest_untraced = 1e30;
+    for (int pair = 0; pair < kPairs; ++pair) {
+        double off = 0.0;
+        double on = 0.0;
+        int runs = 0;
+        do {
+            const bool traced_first = runs % 2 == 1;
+            const double first = run_seconds(traced_first);
+            const double second = run_seconds(!traced_first);
+            const double untraced = traced_first ? second : first;
+            off += untraced;
+            on += traced_first ? first : second;
+            fastest_untraced = std::min(fastest_untraced, untraced);
+            ++runs;
+        } while (off < kMinSideSeconds || on < kMinSideSeconds);
+        ratios.push_back(on / off);
     }
-    return off > 0.0 ? (disabled - off) / off * 100.0 : 0.0;
+    if (untraced_out != nullptr)
+        *untraced_out = fastest_untraced;
+    return (median(ratios) - 1.0) * 100.0;
 }
 
 /**
@@ -229,31 +264,22 @@ multiChipRunSeconds(double scale, bool attach_disabled_sink,
 }
 
 /**
- * Multi-core stepping-engine measurements: chip throughput and the
- * disabled-sink overhead of the multi-core path. Best-of-N on every
- * wall measurement.
+ * Multi-core stepping-engine measurements: chip throughput (from
+ * the fastest untraced run) and the disabled-sink overhead of the
+ * multi-core path, both from one paired A/B.
  */
 void
 multiCoreSteppingThroughput(double scale, double* cycles_out,
                             double* mcps_out,
                             double* overhead_pct_out)
 {
-    constexpr int kRepeats = 3;
-    double serial = 1e30;
-    double traced = 1e30;
-    double cycles = 0.0;
-    for (int i = 0; i < kRepeats; ++i) {
-        double run_cycles = 0.0;
-        serial = std::min(
-            serial, multiChipRunSeconds(scale, false, &run_cycles));
-        cycles = run_cycles;
-        traced = std::min(
-            traced, multiChipRunSeconds(scale, true, nullptr));
-    }
-    *cycles_out = cycles;
-    *mcps_out = serial > 0.0 ? cycles / 1e6 / serial : 0.0;
-    *overhead_pct_out =
-        serial > 0.0 ? (traced - serial) / serial * 100.0 : 0.0;
+    double untraced = 0.0;
+    *overhead_pct_out = pairedTraceOverheadPct(
+        [&](bool traced) {
+            return multiChipRunSeconds(scale, traced, cycles_out);
+        },
+        &untraced);
+    *mcps_out = untraced > 0.0 ? *cycles_out / 1e6 / untraced : 0.0;
 }
 
 int
@@ -298,7 +324,9 @@ runPairMatrixThroughput(int argc, char** argv,
     }
 
     const double trace_overhead_pct =
-        traceOverheadPct(config.lengthScale);
+        pairedTraceOverheadPct([&](bool traced) {
+            return soloRunSeconds(config.lengthScale, traced);
+        });
 
     double multicore_cycles = 0.0;
     double multicore_mcps = 0.0;

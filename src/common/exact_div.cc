@@ -2,9 +2,28 @@
 
 #include <bit>
 
+#include "common/intern.h"
 #include "common/log.h"
 
 namespace jsmt {
+
+namespace {
+
+constinit InternList<ExactDiv> g_divisors;
+
+} // namespace
+
+const ExactDiv&
+ExactDiv::forDivisor(std::uint64_t d)
+{
+    return g_divisors.get(d, [d] { return ExactDiv(d); });
+}
+
+std::size_t
+ExactDiv::internedCount()
+{
+    return g_divisors.size();
+}
 
 ExactDiv::ExactDiv(std::uint64_t d) : _d(d)
 {

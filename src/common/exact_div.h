@@ -14,12 +14,17 @@
  *
  * Construction self-checks the magic against the hardware divide on
  * a battery of adversarial numerators (cold path only), so a faulty
- * table aborts loudly instead of silently perturbing a run.
+ * table aborts loudly instead of silently perturbing a run. The
+ * check costs a few hundred hardware divides, so each distinct
+ * divisor is built and checked once per process (forDivisor()) and
+ * then copied by value into its users: the per-draw path reads the
+ * copy's own fields, with no indirection.
  */
 
 #ifndef JSMT_COMMON_EXACT_DIV_H
 #define JSMT_COMMON_EXACT_DIV_H
 
+#include <cstddef>
 #include <cstdint>
 
 #include "common/rng.h"
@@ -30,10 +35,19 @@ namespace jsmt {
 class ExactDiv
 {
   public:
+    /** Divisor 0 (draw() yields 0 and consumes nothing). */
     ExactDiv() = default;
 
-    /** Precompute for divisor @p d (d == 0 is allowed; see draw()). */
-    explicit ExactDiv(std::uint64_t d);
+    /**
+     * @return the process-wide checked instance for divisor @p d
+     * (d == 0 is allowed; see draw()), built and self-checked on the
+     * first request. Lookups of an existing divisor take no lock;
+     * concurrent first requests for one d receive the same object.
+     */
+    static const ExactDiv& forDivisor(std::uint64_t d);
+
+    /** @return distinct divisors built (and so checked) so far. */
+    static std::size_t internedCount();
 
     /** @return the divisor this instance reduces by. */
     std::uint64_t divisor() const { return _d; }
@@ -71,6 +85,9 @@ class ExactDiv
     }
 
   private:
+    /** Precompute and self-check for divisor @p d (forDivisor()). */
+    explicit ExactDiv(std::uint64_t d);
+
     // GCC/Clang extension; guarded from -Wpedantic.
     __extension__ typedef unsigned __int128 Wide;
 

@@ -1,9 +1,9 @@
 #include "common/rng.h"
 
-#include <atomic>
 #include <bit>
 #include <cmath>
-#include <mutex>
+
+#include "common/intern.h"
 
 namespace jsmt {
 
@@ -47,52 +47,17 @@ uniformThreshold(double x)
 
 namespace {
 
-/**
- * Registry node: the tables form an append-only list that readers
- * walk without a lock. A node is fully built before the release
- * store that publishes it, and never changes or goes away after.
- */
-struct GeoNode
-{
-    GeoTable table;
-    std::uint64_t pBits;
-    const GeoNode* next;
-};
-
-std::atomic<const GeoNode*> g_geoHead{nullptr};
-std::mutex g_geoBuild;
-
-/** Keyed by bit pattern so that even a NaN p finds its table. */
-const GeoTable*
-findGeoTable(const GeoNode* node, std::uint64_t p_bits)
-{
-    for (; node != nullptr; node = node->next) {
-        if (node->pBits == p_bits)
-            return &node->table;
-    }
-    return nullptr;
-}
+/** The process's tables, keyed by the bit pattern of p so that even
+ *  a NaN p finds its table. */
+constinit InternList<GeoTable> g_geoTables;
 
 } // namespace
 
 const GeoTable&
 GeoTable::forP(double p)
 {
-    const auto p_bits = std::bit_cast<std::uint64_t>(p);
-    if (const GeoTable* table = findGeoTable(
-            g_geoHead.load(std::memory_order_acquire), p_bits))
-        return *table;
-    // First request for this p: build under the lock, re-checking
-    // in case a racing thread published it meanwhile. Nodes are
-    // immortal (reachable from g_geoHead for the process lifetime);
-    // a run touches a few dozen distinct p values at most.
-    std::lock_guard<std::mutex> lock(g_geoBuild);
-    const GeoNode* head = g_geoHead.load(std::memory_order_relaxed);
-    if (const GeoTable* table = findGeoTable(head, p_bits))
-        return *table;
-    const auto* node = new GeoNode{GeoTable(p), p_bits, head};
-    g_geoHead.store(node, std::memory_order_release);
-    return node->table;
+    return g_geoTables.get(std::bit_cast<std::uint64_t>(p),
+                           [p] { return GeoTable(p); });
 }
 
 GeoTable::GeoTable(double p) : _p(p), _logDenom(std::log1p(-p))

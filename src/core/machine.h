@@ -29,10 +29,12 @@ class Machine
 {
   public:
     /**
+     * Build every component once, in the configured HT mode.
+     *
      * @param shared_l2 optional externally owned L2 replacing this
      *        machine's private one (multi-core slices share a chip
-     *        L2; see os/allocation). Null keeps the machine fully
-     *        self-contained.
+     *        L2; see os/allocation), which is then never built.
+     *        Null keeps the machine fully self-contained.
      */
     explicit Machine(const SystemConfig& config,
                      Cache* shared_l2 = nullptr);

@@ -13,6 +13,18 @@ roundUpToPage(std::uint64_t bytes)
     return (bytes + kPage - 1) & ~(kPage - 1);
 }
 
+/**
+ * Hot, warm and cold spans of a region of @p bytes. The interned
+ * divisors are copied: draws read the model's own fields.
+ */
+std::array<ExactDiv, 3>
+tierSpans(std::uint64_t bytes, const WorkloadProfile& profile)
+{
+    return {ExactDiv::forDivisor(std::min(profile.hotBytes, bytes)),
+            ExactDiv::forDivisor(std::min(profile.warmBytes, bytes)),
+            ExactDiv::forDivisor(bytes)};
+}
+
 } // namespace
 
 DataModel::DataModel(const WorkloadProfile& profile, Rng rng,
@@ -28,13 +40,9 @@ DataModel::DataModel(const WorkloadProfile& profile, Rng rng,
       _sweep(profile.sweepFrac),
       _hotCut(uniformThreshold(profile.hotFrac)),
       _warmCut(uniformThreshold(profile.hotFrac + profile.warmFrac)),
-      _privTiers{ExactDiv(std::min(profile.hotBytes, profile.privateBytes)),
-                 ExactDiv(std::min(profile.warmBytes, profile.privateBytes)),
-                 ExactDiv(profile.privateBytes)},
-      _sharedTiers{ExactDiv(std::min(profile.hotBytes, profile.sharedBytes)),
-                   ExactDiv(std::min(profile.warmBytes, profile.sharedBytes)),
-                   ExactDiv(profile.sharedBytes)},
-      _peerPick(_numThreads > 1 ? _numThreads - 1 : 0)
+      _privTiers(tierSpans(profile.privateBytes, profile)),
+      _sharedTiers(tierSpans(profile.sharedBytes, profile)),
+      _peerPick(ExactDiv::forDivisor(_numThreads - 1))
 {
 }
 

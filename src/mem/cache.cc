@@ -142,6 +142,11 @@ Cache::lookup(Asid asid, Addr addr, ContextId ctx) const
 void
 Cache::flush()
 {
+    // Every invalid line already equals Line{} (fills set a nonzero
+    // key; only flush() and flushAsid() clear one, to Line{}), so an
+    // empty cache has nothing to clear.
+    if (_validLines == 0)
+        return;
     for (Line& line : _lines)
         line = Line{};
     _validLines = 0;

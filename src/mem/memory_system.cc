@@ -95,8 +95,8 @@ MemorySystem::MemorySystem(const MemConfig& config, Pmu& pmu,
       _pmu(pmu),
       _traceCache(traceCacheConfig(config)),
       _l1d(l1dConfig(config)),
-      _l2(l2Config(config)),
-      _l2use(shared_l2 != nullptr ? shared_l2 : &_l2),
+      _l2use(shared_l2 != nullptr ? shared_l2
+                                  : &_l2.emplace(l2Config(config))),
       _itlb(itlbConfig(config)),
       _dtlb(dtlbConfig(config))
 {

@@ -15,6 +15,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 
 #include "common/types.h"
 #include "mem/cache.h"
@@ -99,8 +100,9 @@ class MemorySystem
      *        system so all cores compete for the same capacity
      *        (ASID-tagged lines make the sharing correct across
      *        address spaces). FSB/L2-port occupancy cursors stay
-     *        per-core (private bus ports). Null (the default) keeps
-     *        the single-core behaviour bit-identical.
+     *        per-core (private bus ports). The hierarchy then
+     *        builds no L2 of its own. Null (the default) builds the
+     *        private L2 of a single-core machine.
      */
     MemorySystem(const MemConfig& config, Pmu& pmu,
                  Cache* shared_l2 = nullptr);
@@ -169,6 +171,8 @@ class MemorySystem
     const Cache& l1d() const { return _l1d; }
     /** @return unified L2 structure (shared one when attached). */
     const Cache& l2() const { return *_l2use; }
+    /** @return whether this hierarchy owns a private L2. */
+    bool ownsL2() const { return _l2.has_value(); }
     /** @return instruction TLB. */
     const Tlb& itlb() const { return _itlb; }
     /** @return data TLB. */
@@ -207,7 +211,8 @@ class MemorySystem
     bool _hyperThreading = false;
     Cache _traceCache;
     Cache _l1d;
-    Cache _l2;
+    /** The private L2; empty when a shared L2 is attached. */
+    std::optional<Cache> _l2;
     /** Points at _l2 or at an external shared L2 (multi-core). */
     Cache* _l2use;
     Tlb _itlb;

@@ -28,7 +28,7 @@ stallName(EventId event)
 
 SmtCore::SmtCore(const CoreConfig& config, MemorySystem& mem,
                  BranchUnit& branch, Scheduler& scheduler, Pmu& pmu,
-                 std::uint64_t seed)
+                 std::uint64_t seed, bool hyper_threading)
     : _config(config),
       _mem(mem),
       _branch(branch),
@@ -48,14 +48,22 @@ SmtCore::SmtCore(const CoreConfig& config, MemorySystem& mem,
         fatal("core: ROB too small to partition");
     // Ring storage is sized for the whole machine window once, here:
     // under the dynamic partition policy a lone context may occupy
-    // every ROB entry, and reset() never reallocates.
+    // every ROB entry, and reset() never reallocates. Everything
+    // else reset() clears starts in its cleared state.
     for (ContextState& cs : _ctx)
         cs.rob.init(config.robEntries);
-    setHyperThreading(true);
+    applyMode(hyper_threading);
 }
 
 void
 SmtCore::setHyperThreading(bool enabled)
+{
+    applyMode(enabled);
+    reset();
+}
+
+void
+SmtCore::applyMode(bool enabled)
 {
     _hyperThreading = enabled;
     _dynamicShared =
@@ -69,7 +77,6 @@ SmtCore::setHyperThreading(bool enabled)
     _scheduler.setNumContexts(enabled ? kNumContexts : 1);
     _mem.setHyperThreading(enabled);
     _branch.setHyperThreading(enabled);
-    reset();
 }
 
 std::uint32_t

@@ -85,9 +85,14 @@ class SmtCore
         }
     };
 
+    /**
+     * Build the core in its Hyper-Threading mode: the mode reaches
+     * the scheduler, ITLB and BTB as setHyperThreading() would
+     * propagate it, but the fresh pipeline needs no reset().
+     */
     SmtCore(const CoreConfig& config, MemorySystem& mem,
             BranchUnit& branch, Scheduler& scheduler, Pmu& pmu,
-            std::uint64_t seed = 1);
+            std::uint64_t seed, bool hyper_threading);
 
     /**
      * Enable/disable Hyper-Threading. Propagates to the scheduler
@@ -398,6 +403,9 @@ class SmtCore
     /** Reserve an issue slot at or after @p earliest. */
     Cycle findIssueSlot(Cycle earliest);
 
+    /** Set the mode and propagate it, without reset(). */
+    void applyMode(bool enabled);
+
     /** Number of contexts in the current mode. */
     std::uint32_t
     activeContexts() const
@@ -415,7 +423,7 @@ class SmtCore
     Rng _rng;
     bool _hyperThreading = true;
 
-    // Mode-derived values recomputed in setHyperThreading() so the
+    // Mode-derived values recomputed in applyMode() so the
     // per-µop fullness checks read plain fields.
     bool _dynamicShared = false;
     std::array<std::uint32_t, kNumContexts> _robCapCache{};

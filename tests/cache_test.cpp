@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "mem/cache.h"
 
 namespace jsmt {
@@ -71,6 +73,28 @@ TEST(Cache, FlushInvalidatesEverything)
     cache.access(1, 0x40, 0);
     cache.flush();
     EXPECT_FALSE(cache.lookup(1, 0x40, 0));
+}
+
+TEST(Cache, FlushOfAnEmptiedCacheBehavesLikeAFreshOne)
+{
+    // flush() skips the clear when no line is valid; a cache emptied
+    // line by line must then still replay a fresh cache's history.
+    const auto history = [](Cache& cache) {
+        std::vector<bool> hits;
+        for (Addr i = 0; i < 12; ++i)
+            hits.push_back(cache.access(3, (i % 6) * 256, 0));
+        return hits;
+    };
+    Cache fresh(smallCache());
+    Cache emptied(smallCache());
+    for (Addr i = 0; i < 4; ++i)
+        emptied.access(1, i * 256 + 64, 0);
+    emptied.flushAsid(1);
+    ASSERT_EQ(emptied.validLines(), 0u);
+    emptied.flush();
+    EXPECT_EQ(history(emptied), history(fresh));
+    EXPECT_EQ(emptied.validLines(), fresh.validLines());
+    EXPECT_EQ(emptied.evictions(), fresh.evictions());
 }
 
 TEST(Cache, FlushAsidIsSelective)

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <ostream>
 #include <string>
 
 #include <sys/wait.h>
@@ -236,6 +237,56 @@ TEST(CliUsage, AllocationFlagsAreValidated)
                   .status,
               kUsageError);
 }
+
+/** A flag the pair matrix has no use for, with its value. */
+struct PairMatrixFlag
+{
+    const char* flag;
+    const char* value;
+};
+
+/** Names the case by its flag (the default prints raw bytes). */
+void
+PrintTo(const PairMatrixFlag& param, std::ostream* os)
+{
+    *os << param.flag;
+}
+
+class CliPairMatrix : public ::testing::TestWithParam<PairMatrixFlag>
+{
+};
+
+TEST_P(CliPairMatrix, RejectsAFlagItWouldIgnore)
+{
+    const PairMatrixFlag& p = GetParam();
+    const CommandResult r =
+        runCommand(binary() + " --pair-matrix --scale 0.01 " +
+                   p.flag + " " + p.value + " 2>&1");
+    EXPECT_EQ(r.status, kUsageError) << r.output;
+    EXPECT_TRUE(contains(r.output, std::string(p.flag) +
+                                       " is not supported with "
+                                       "--pair-matrix"))
+        << r.output;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Flags, CliPairMatrix,
+    ::testing::Values(PairMatrixFlag{"--resume", "m.json"},
+                      PairMatrixFlag{"--no-fast-forward", ""},
+                      PairMatrixFlag{"--trace", "pm_trace.json"},
+                      PairMatrixFlag{"--events", "cycles"},
+                      PairMatrixFlag{"--retries", "2"},
+                      PairMatrixFlag{"--task-timeout", "5"},
+                      PairMatrixFlag{"--profile", ""},
+                      PairMatrixFlag{"--sample-interval", "1000"}),
+    [](const ::testing::TestParamInfo<PairMatrixFlag>& param) {
+        std::string name;
+        for (const char* c = param.param.flag; *c != '\0'; ++c) {
+            if (*c != '-')
+                name += *c;
+        }
+        return name;
+    });
 
 TEST(CliSweep, ResumeAcrossStepThreadCountsIsBitIdentical)
 {

@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/exact_div.h"
 #include "common/rng.h"
 #include "core/simulation.h"
 #include "exec/result_codec.h"
@@ -149,6 +150,45 @@ TEST(TaskPool, WorkersShareOneGeometricTable)
         EXPECT_EQ(draws[i], expected) << i;
     }
     EXPECT_EQ(seen[0]->p(), p);
+}
+
+TEST(TaskPool, WorkersShareOneExactDivisor)
+{
+    // A divisor no synthesis path uses, so the workers' lookups are
+    // the first requests for it in this process and race to build
+    // (and self-check) it.
+    constexpr std::uint64_t d = 0x7ace'0000'0003ULL;
+    constexpr std::size_t kWorkers = 4;
+    const std::size_t interned = ExactDiv::internedCount();
+    TaskPool pool(kWorkers);
+    std::atomic<std::size_t> arrived{0};
+    std::vector<const ExactDiv*> seen(kWorkers * 8);
+    std::vector<std::uint64_t> draws(seen.size());
+    pool.parallelFor(seen.size(), [&](std::size_t i) {
+        // Hold the first tasks at a start line (bounded, in case
+        // fewer workers run at once) so their lookups overlap.
+        arrived.fetch_add(1);
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(1);
+        while (arrived.load() < kWorkers &&
+               std::chrono::steady_clock::now() < deadline) {
+        }
+        seen[i] = &ExactDiv::forDivisor(d);
+        const ExactDiv copy = *seen[i];
+        Rng rng(i);
+        for (int k = 0; k < 1000; ++k)
+            draws[i] += copy.draw(rng);
+    });
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+        EXPECT_EQ(seen[i], seen[0]) << i;
+        Rng rng(i);
+        std::uint64_t expected = 0;
+        for (int k = 0; k < 1000; ++k)
+            expected += rng.below(d);
+        EXPECT_EQ(draws[i], expected) << i;
+    }
+    EXPECT_EQ(seen[0]->divisor(), d);
+    EXPECT_EQ(ExactDiv::internedCount(), interned + 1);
 }
 
 TEST(TaskPool, JobResolutionHonorsEnvironment)

@@ -1,12 +1,17 @@
 /**
  * @file
  * Tests for the Machine facade: component wiring, mode switching,
- * and address-space allocation.
+ * one-pass construction and address-space allocation.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/machine.h"
+#include "core/simulation.h"
+#include "exec/result_codec.h"
+#include "os/allocation/multi_core.h"
 
 namespace jsmt {
 namespace {
@@ -40,6 +45,62 @@ TEST(Machine, HtSwitchPropagatesEverywhere)
     EXPECT_TRUE(machine.hyperThreading());
     EXPECT_EQ(machine.scheduler().numContexts(), 2u);
     EXPECT_TRUE(machine.mem().itlb().partitioned());
+}
+
+/** Run a small two-process workload and encode its full result. */
+std::string
+encodedRun(Machine& machine)
+{
+    Simulation sim(machine);
+    for (const char* name : {"jess", "db"}) {
+        WorkloadSpec spec;
+        spec.benchmark = name;
+        spec.lengthScale = 0.02;
+        sim.addProcess(spec);
+    }
+    std::string out;
+    exec::writeRunResultJson(out, sim.run());
+    return out;
+}
+
+TEST(Machine, BuiltInModeMatchesModeSwitchedMachine)
+{
+    // A machine is built once, in its configured mode. It must
+    // simulate exactly like a machine switched into that mode
+    // afterwards (the former construction path), from either mode.
+    for (const bool ht : {false, true}) {
+        SCOPED_TRACE(ht ? "HT on" : "HT off");
+        SystemConfig config;
+        config.hyperThreading = ht;
+        Machine built(config);
+        const std::string expected = encodedRun(built);
+
+        SystemConfig other = config;
+        other.hyperThreading = !ht;
+        Machine toggled(other);
+        toggled.setHyperThreading(ht);
+        EXPECT_EQ(encodedRun(toggled), expected);
+
+        Machine reset_twice(config);
+        reset_twice.setHyperThreading(ht);
+        EXPECT_EQ(encodedRun(reset_twice), expected);
+    }
+}
+
+TEST(Machine, OnlyASingleCoreMachineOwnsAnL2)
+{
+    SystemConfig config;
+    Machine solo(config);
+    EXPECT_TRUE(solo.mem().ownsL2());
+
+    // Slices of a chip share one L2 and build none of their own.
+    MultiCoreConfig chip;
+    chip.cores = 2;
+    MultiCoreSystem system(chip);
+    for (CoreId core = 0; core < chip.cores; ++core) {
+        EXPECT_FALSE(system.machine(core).mem().ownsL2());
+        EXPECT_EQ(&system.machine(core).mem().l2(), system.sharedL2());
+    }
 }
 
 TEST(Machine, AsidsAreUniqueAndNonKernel)

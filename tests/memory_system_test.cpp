@@ -63,6 +63,22 @@ TEST(MemorySystem, HtSeparatesTraceCacheContexts)
     EXPECT_TRUE(shared.traceCacheHit);
 }
 
+TEST(MemorySystem, SharedL2ReplacesThePrivateOne)
+{
+    Pmu pmu;
+    MemorySystem solo(MemConfig{}, pmu);
+    EXPECT_TRUE(solo.ownsL2());
+    EXPECT_EQ(solo.l2().config().sizeBytes, MemConfig{}.l2Bytes);
+
+    Cache shared(MemorySystem::l2CacheConfig(MemConfig{}));
+    MemorySystem slice(MemConfig{}, pmu, &shared);
+    EXPECT_FALSE(slice.ownsL2());
+    EXPECT_EQ(&slice.l2(), &shared);
+    // The slice's misses fill the shared L2.
+    slice.dataAccess(1, 0x8000'0000, 0, false, 0);
+    EXPECT_GT(shared.validLines(), 0u);
+}
+
 TEST(MemorySystem, DataAccessLatencyTiers)
 {
     Pmu pmu;

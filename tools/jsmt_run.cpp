@@ -28,7 +28,12 @@
  *                                  (the ten identical benchmark
  *                                  pairs, 2 x cores processes per
  *                                  cell) under --alloc and print the
- *                                  per-cell throughput table
+ *                                  per-cell throughput table; takes
+ *                                  --metrics but none of --events,
+ *                                  --sample-interval, --profile,
+ *                                  --no-fast-forward, --trace,
+ *                                  --resume, --task-timeout or
+ *                                  --retries (exit 2)
  *     --pair-matrix-full           like --pair-matrix but all 55
  *                                  unordered benchmark combinations
  *     --dynamic-partition          use the paper's SS4.3 proposal
@@ -43,11 +48,12 @@
  *                                  (cross-check for the fast-forward
  *                                  optimisation; results must be
  *                                  identical)
- *     --profile                    print a per-stage wall-time
- *                                  breakdown of the simulator hot
- *                                  path (retire / fetch+alloc /
- *                                  µop synthesis / memory walk /
- *                                  accounting) to
+ *     --profile                    print the machine build and
+ *                                  process launch time and a
+ *                                  per-stage wall-time breakdown of
+ *                                  the simulator hot path (retire /
+ *                                  fetch+alloc / µop synthesis /
+ *                                  memory walk / accounting) to
  *                                  stderr after the run; adds clock
  *                                  reads, so the run is slower but
  *                                  the results are unchanged
@@ -264,8 +270,19 @@ Options
 parseArgs(int argc, char** argv)
 {
     Options options;
+    // Flags the pair matrix has no use for; given with it, each is
+    // a usage error rather than a silent no-op.
+    constexpr const char* kNotWithPairMatrix[] = {
+        "--resume",  "--no-fast-forward", "--trace",
+        "--events",  "--retries",         "--task-timeout",
+        "--profile", "--sample-interval"};
+    const char* ignored_by_pair_matrix = nullptr;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        for (const char* flag : kNotWithPairMatrix) {
+            if (arg == flag && ignored_by_pair_matrix == nullptr)
+                ignored_by_pair_matrix = flag;
+        }
         const auto next = [&]() -> std::string {
             if (i + 1 >= argc) {
                 std::cerr << "missing value for " << arg << '\n';
@@ -391,9 +408,9 @@ parseArgs(int argc, char** argv)
                          "--benchmark or --sweep\n";
             std::exit(kUsageError);
         }
-        if (!options.resumePath.empty()) {
-            std::cerr << "--resume is not supported with "
-                         "--pair-matrix\n";
+        if (ignored_by_pair_matrix != nullptr) {
+            std::cerr << ignored_by_pair_matrix
+                      << " is not supported with --pair-matrix\n";
             std::exit(kUsageError);
         }
     }
@@ -881,14 +898,16 @@ main(int argc, char** argv)
     if (options.dynamicPartition) {
         config.core.partitionPolicy = PartitionPolicy::kDynamic;
     }
-    Machine machine(config);
-
     const bool tracing = !options.traceFile.empty();
     const bool metrics = !options.metricsFile.empty();
+    trace::TraceSink sink;
+
+    // Machine build plus process launch: the --profile setup row.
+    const auto setup_start = std::chrono::steady_clock::now();
+    Machine machine(config);
 
     // The tracer must be attached before addProcess so the launch
     // instants land in the timeline.
-    trace::TraceSink sink;
     if (tracing) {
         sink.setEnabled(true);
         machine.setTraceSink(&sink);
@@ -897,6 +916,10 @@ main(int argc, char** argv)
     Simulation sim(machine);
     for (const auto& spec : options.workloads)
         sim.addProcess(spec);
+    const double setup_wall =
+        std::chrono::duration<double>(
+            std::chrono::steady_clock::now() - setup_start)
+            .count();
 
     std::unique_ptr<trace::MetricsCollector> collector;
     if (metrics)
@@ -990,6 +1013,9 @@ main(int argc, char** argv)
             stderr,
             "profile: %llu cycles simulated in %.3f s wall "
             "(%llu total incl. fast-forwarded)\n"
+            "  setup            %8.3f ms         "
+            "(machine build + %zu process launch(es), before the "
+            "run)\n"
             "  retire           %8.3f s  %5.1f%%\n"
             "  fetch+alloc      %8.3f s  %5.1f%%  "
             "(excl. synthesis, memory)\n"
@@ -1003,6 +1029,7 @@ main(int argc, char** argv)
             static_cast<unsigned long long>(profiler.cycles),
             run_wall,
             static_cast<unsigned long long>(result.cycles),
+            setup_wall * 1e3, options.workloads.size(),
             profiler.retireSeconds, pct(profiler.retireSeconds),
             fetch_alloc, pct(fetch_alloc), synthesis, pct(synthesis),
             memory, pct(memory),
